@@ -38,7 +38,7 @@ from .errors import (
 )
 from .linalg import eigenbasis_diagonal, hermitian_eigen
 from .models import ParamHamiltonian
-from .thermal import entropy_from_populations, populations_from_levels
+from .thermal import _moments, entropy_from_populations, populations_from_levels
 
 _QUAD_TOL = 1e-8          # successive-estimate tolerance, absolute and relative
 _QUAD_MAX_DOUBLINGS = 16
@@ -117,10 +117,7 @@ class _SpectralCache:
         """(U, var[H], Cov(dH/dlambda, H), populations, energies)."""
         energies, d_diag = self.at(lam)
         p, _ = populations_from_levels(energies, temperature)
-        u = float(np.dot(p, energies))
-        var = max(float(np.dot(p, energies ** 2)) - u * u, 0.0)
-        mean_d = float(np.dot(p, d_diag))
-        cov = float(np.dot(p, d_diag * energies)) - mean_d * u
+        u, var, _, cov = _moments(p, energies, d_diag)
         return u, var, cov, p, energies
 
     def entropy(self, lam: float, temperature: float) -> float:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .caloric import _simpson_doubling
 from .errors import (
     AnisotropicStateError,
@@ -25,7 +23,7 @@ from .errors import (
 )
 from .linalg import eigenbasis_diagonal, hermitian_eigen, kron, spin_half_operators
 from .models import build_dimer
-from .thermal import populations_from_levels, thermal_average, thermal_state
+from .thermal import _moments, populations_from_levels, thermal_average, thermal_state
 
 _ISOTROPY_TOL = 1e-8
 
@@ -131,8 +129,7 @@ def discord_temperature_derivative(J: float, T: float) -> float:
     spectrum = hermitian_eigen(model.evaluate(J))
     c_diag = eigenbasis_diagonal(model.derivative(J), spectrum.vectors) / 3.0
     p, _ = populations_from_levels(spectrum.values, T)
-    e = spectrum.values
-    cov = float(np.dot(p, c_diag * e)) - float(np.dot(p, c_diag)) * float(np.dot(p, e))
+    _, _, _, cov = _moments(p, spectrum.values, c_diag)
     sign = 1.0 if J > 0 else -1.0
     return -0.5 * sign * cov / (T * T)
 

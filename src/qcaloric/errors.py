@@ -17,7 +17,7 @@ class NonHermitianError(QCaloricError):
 
 
 class NoConvergenceError(QCaloricError):
-    """Iterative eigensolver did not reach its residual target."""
+    """LAPACK's Hermitian eigensolver (``eigh``) failed to converge."""
 
 
 # --- model construction -----------------------------------------------------
@@ -41,7 +41,7 @@ class NoZeemanTermError(QCaloricError):
 # --- thermal engine ---------------------------------------------------------
 
 class NonPositiveTemperatureError(QCaloricError):
-    """Temperature must be strictly positive."""
+    """Temperature must be finite and strictly positive."""
 
 
 class DimensionMismatchError(QCaloricError):

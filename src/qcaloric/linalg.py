@@ -1,9 +1,7 @@
 """Dense complex Hermitian linear algebra for small spin Hamiltonians.
 
-Provides Kronecker products, spin-1/2 operator sets, and a cyclic Jacobi
-eigensolver with complex rotations. Everything targets dimensions <= 64,
-small enough that a self-contained deterministic solver is preferable to a
-LAPACK call whose rotation order and tie-breaking vary across builds.
+Provides Kronecker products, spin-1/2 operator sets, and a Hermitian
+eigensolver on top of LAPACK. Everything targets dimensions <= 64.
 
 Conventions: matrices are complex128 throughout, even for models that happen
 to be real symmetric. Energies carried by these operators are in kelvin
@@ -12,7 +10,6 @@ to be real symmetric. Energies carried by these operators are in kelvin
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +18,6 @@ from .errors import NoConvergenceError, NonHermitianError
 
 # Relative Hermiticity tolerance: max|A - A'| entrywise vs max|A|.
 HERMITICITY_RTOL = 1e-10
-
-# Jacobi sweep cap and convergence target for the off-diagonal Frobenius norm.
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TARGET_RTOL = 1e-13
-_JACOBI_ACCEPT_RTOL = 1e-12
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,8 +95,8 @@ class HermitianOperator:
 class EigenDecomposition:
     """Spectrum of a Hermitian operator.
 
-    ``values`` are real and ascending (ties keep the solver's original
-    ordering); ``vectors`` holds the matching eigenvectors as columns of a
+    ``values`` are real and ascending (tied levels of a diagonal input keep
+    their original order); ``vectors`` holds the matching eigenvectors as columns of a
     unitary matrix.
     """
 
@@ -120,19 +112,13 @@ class EigenDecomposition:
         return self.values.shape[0]
 
 
-def _offdiag_norm_sq(a: np.ndarray) -> float:
-    # summed directly (not as total - diagonal, which cancels to sqrt(eps))
-    sq = np.abs(a) ** 2
-    np.fill_diagonal(sq, 0.0)
-    return float(np.sum(sq))
-
-
 def hermitian_eigen(a) -> EigenDecomposition:
-    """Diagonalize a Hermitian operator by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian operator with LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps all (p, q) pairs in row order, annihilating each off-diagonal
-    entry with a complex plane rotation, until the off-diagonal Frobenius
-    norm drops below ``1e-13 * ||A||_F`` or 100 sweeps elapse.
+    Input that is already diagonal (every tabulated model, the zero matrix)
+    skips the solver: its diagonal is sorted stably, so degenerate levels
+    keep their original order, and the eigenvectors are the matching
+    columns of the identity.
 
     Parameters
     ----------
@@ -147,79 +133,21 @@ def hermitian_eigen(a) -> EigenDecomposition:
     Raises
     ------
     NoConvergenceError
-        Off-diagonal norm still above ``1e-12 * ||A||_F`` after the cap.
+        LAPACK reports that the eigenvalue iteration failed to converge.
     """
     if not isinstance(a, HermitianOperator):
         a = HermitianOperator(np.asarray(a, dtype=complex))
-    n = a.dim
-    work = a.matrix.astype(complex, copy=True)
-    vectors = np.eye(n, dtype=complex)
-
-    norm = math.sqrt(float(np.sum(np.abs(work) ** 2)))
-    if n <= 1 or norm == 0.0:
-        values = np.real(np.diag(work)).copy()
-        return EigenDecomposition(values=values, vectors=vectors)
-
-    target_sq = (_JACOBI_TARGET_RTOL * norm) ** 2
-    skip = 1e-300  # rotations on exactly-zero entries are no-ops
-
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm_sq(work) < target_sq:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = work[p, q]
-                mag = abs(beta)
-                if mag <= skip:
-                    continue
-                phase = beta / mag
-                theta = float((work[q, q].real - work[p, p].real) / (2.0 * mag))
-                # smaller root of t^2 - 2*theta*t - 1 = 0
-                if abs(theta) > 1e150:  # theta^2 would overflow
-                    t = -0.5 / theta
-                else:
-                    t = -math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = (t * c) * phase.conjugate()
-                s_conj = s.conjugate()
-
-                # A <- G' A G with G = I except G[pp]=G[qq]=c,
-                # G[pq] = -conj(s), G[qp] = s
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p + s * col_q
-                work[:, q] = -s_conj * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p + s_conj * row_q
-                work[q, :] = -s * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-
-                vec_p = vectors[:, p].copy()
-                vec_q = vectors[:, q].copy()
-                vectors[:, p] = c * vec_p + s * vec_q
-                vectors[:, q] = -s_conj * vec_p + c * vec_q
-    else:
-        if _offdiag_norm_sq(work) >= (_JACOBI_ACCEPT_RTOL * norm) ** 2:
-            raise NoConvergenceError(
-                f"off-diagonal norm {math.sqrt(_offdiag_norm_sq(work)):.3e} "
-                f"after {_JACOBI_MAX_SWEEPS} sweeps (||A|| = {norm:.3e})"
-            )
-        converged = True
-
-    if not converged:  # pragma: no cover - loop exits via break or else-clause
-        raise NoConvergenceError("jacobi iteration ended in unexpected state")
-
-    raw = np.real(np.diag(work))
-    order = np.argsort(raw, kind="stable")
-    values = np.ascontiguousarray(raw[order])
-    vectors = np.ascontiguousarray(vectors[:, order])
+    m = a.matrix
+    diag = np.diag(m)
+    if np.count_nonzero(m) == np.count_nonzero(diag):
+        raw = np.real(diag)
+        order = np.argsort(raw, kind="stable")
+        return EigenDecomposition(values=raw[order],
+                                  vectors=np.eye(a.dim, dtype=complex)[:, order])
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigh failed: {exc}") from exc
     return EigenDecomposition(values=values, vectors=vectors)
 
 

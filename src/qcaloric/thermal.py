@@ -12,6 +12,7 @@ evaluated through its energy-basis diagonal in a canonical state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -97,8 +98,9 @@ def populations_from_levels(levels: np.ndarray, temperature: float):
     -------
     (populations, log_partition)
     """
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(f"T = {temperature:g} K must be > 0")
+    if not 0 < temperature < math.inf:
+        raise NonPositiveTemperatureError(
+            f"T = {temperature:g} K must be finite and > 0")
     e_min = float(np.min(levels))
     weights = np.exp(-(levels - e_min) / temperature)
     z0 = float(np.sum(weights))
@@ -113,7 +115,7 @@ def thermal_state(model: ParamHamiltonian, lam: float, temperature: float) -> Th
     Raises
     ------
     NonPositiveTemperatureError
-        If T <= 0.
+        If T is not finite and > 0.
     """
     spectrum = hermitian_eigen(model.evaluate(lam))
     populations, log_z = populations_from_levels(spectrum.values, temperature)
@@ -133,6 +135,18 @@ def entropy_from_populations(populations: np.ndarray) -> float:
     return max(float(-np.sum(p * np.log(p))), 0.0)
 
 
+def _moments(p: np.ndarray, levels: np.ndarray, diag: np.ndarray):
+    """(U, var[H], <A>, Cov(A, H)) under populations ``p``.
+
+    ``diag`` is the observable's energy-basis diagonal. Raw moments:
+    var[H] = <H^2> - U^2 (clamped at 0) and Cov(A, H) = <AH> - <A>U.
+    """
+    u = float(np.dot(p, levels))
+    variance = max(float(np.dot(p, levels ** 2)) - u * u, 0.0)
+    mean_a = float(np.dot(p, diag))
+    return u, variance, mean_a, float(np.dot(p, diag * levels)) - mean_a * u
+
+
 def thermo_point(state: ThermalState) -> ThermodynamicPoint:
     """All equilibrium scalars of a state.
 
@@ -140,13 +154,11 @@ def thermo_point(state: ThermalState) -> ThermodynamicPoint:
     C = var[H] / T^2, Y = -sum p_n dE_n/dlambda through the analytic
     derivative operator.
     """
-    energies = state.spectrum.values
     p = state.populations
     t = state.temperature
-    u = float(np.dot(p, energies))
-    variance = max(float(np.dot(p, energies ** 2)) - u * u, 0.0)
     d_diag = eigenbasis_diagonal(
         state.model.derivative(state.lam), state.spectrum.vectors)
+    u, variance, mean_d, _ = _moments(p, state.spectrum.values, d_diag)
     return ThermodynamicPoint(
         temperature=t,
         lam=state.lam,
@@ -155,7 +167,7 @@ def thermo_point(state: ThermalState) -> ThermodynamicPoint:
         free_energy=-t * state.log_partition,
         specific_heat=variance / (t * t),
         energy_variance=variance,
-        generalized_force=-float(np.dot(p, d_diag)),
+        generalized_force=-mean_d,
     )
 
 
@@ -213,37 +225,26 @@ def zero_field_susceptibility(model: ParamHamiltonian, temperature: float) -> fl
     return (m2 - m1 * m1) / temperature
 
 
-def covariance_with_energy(state: ThermalState, diag_values: np.ndarray) -> float:
-    """Cov(A, H) = <AH> - <A><H> for an observable given by its
-    energy-basis diagonal. ``d<A>/dT = Cov(A, H) / T^2``."""
-    e = state.spectrum.values
-    p = state.populations
-    mean_a = float(np.dot(p, diag_values))
-    return float(np.dot(p, diag_values * e)) - mean_a * float(np.dot(p, e))
-
-
 def _segment_sums(model, points, level_cache):
     """Midpoint work/heat sums over consecutive (lambda, T) points.
 
     ``level_cache`` memoizes eigenvalues per lambda; refinement revisits
     the coarser grids' points.
     """
-    levels = []
-    for lam, _ in points:
-        e = level_cache.get(lam)
-        if e is None:
-            e = hermitian_eigen(model.evaluate(lam)).values
-            level_cache[lam] = e
-        levels.append(e)
-    pops = [populations_from_levels(e, t)[0]
-            for e, (_, t) in zip(levels, points)]
     work = np.empty(len(points) - 1)
     heat = np.empty(len(points) - 1)
-    for k in range(len(points) - 1):
-        e_a, e_b = levels[k], levels[k + 1]
-        p_a, p_b = pops[k], pops[k + 1]
-        work[k] = float(np.dot((p_a + p_b) / 2.0, e_b - e_a))
-        heat[k] = float(np.dot((e_a + e_b) / 2.0, p_b - p_a))
+    e_a = p_a = None
+    # populations live for one segment, not for the whole refined grid
+    for k, (lam, t) in enumerate(points):
+        e_b = level_cache.get(lam)
+        if e_b is None:
+            e_b = hermitian_eigen(model.evaluate(lam)).values
+            level_cache[lam] = e_b
+        p_b = populations_from_levels(e_b, t)[0]
+        if k:
+            work[k - 1] = float(np.dot((p_a + p_b) / 2.0, e_b - e_a))
+            heat[k - 1] = float(np.dot((e_a + e_b) / 2.0, p_b - p_a))
+        e_a, p_a = e_b, p_b
     return work, heat
 
 
@@ -261,14 +262,15 @@ def process_decompose(model: ParamHamiltonian,
     EmptyPathError
         Fewer than two path points.
     NonPositiveTemperatureError
-        Any path temperature <= 0.
+        Any path temperature not finite and > 0.
     """
     pts = [(float(lam), float(t)) for lam, t in path]
     if len(pts) < 2:
         raise EmptyPathError("process path needs at least 2 points")
     for _, t in pts:
-        if not t > 0:
-            raise NonPositiveTemperatureError(f"path temperature {t:g} K must be > 0")
+        if not 0 < t < math.inf:
+            raise NonPositiveTemperatureError(
+                f"path temperature {t:g} K must be finite and > 0")
 
     def refine(n_sub):
         out = []
@@ -292,18 +294,15 @@ def process_decompose(model: ParamHamiltonian,
         prev_w, prev_q = w, q
         n_sub *= 2
 
-    u_start = float(np.dot(*_state_pe(model, *pts[0])))
-    u_end = float(np.dot(*_state_pe(model, *pts[-1])))
+    def energy(lam, temperature):
+        # refine() always visits both endpoints, so their levels are cached
+        levels = level_cache[lam]
+        return float(np.dot(populations_from_levels(levels, temperature)[0], levels))
+
     return ProcessDecomposition(
         work=w,
         heat=q,
-        energy_change=u_end - u_start,
+        energy_change=energy(*pts[-1]) - energy(*pts[0]),
         work_steps=work_steps,
         heat_steps=heat_steps,
     )
-
-
-def _state_pe(model, lam, temperature):
-    spectrum = hermitian_eigen(model.evaluate(lam))
-    populations, _ = populations_from_levels(spectrum.values, temperature)
-    return populations, spectrum.values

@@ -28,7 +28,7 @@ def _charpoly_roots(h):
     """Eigenvalues as roots of the characteristic polynomial.
 
     Coefficients from the Faddeev-LeVerrier recursion, roots from
-    numpy.roots -- a route fully independent of the Jacobi iteration.
+    numpy.roots -- a route fully independent of LAPACK's ``eigh``.
     """
     n = h.shape[0]
     coeffs = [1.0]
@@ -81,7 +81,7 @@ def check_charpoly_agreement(quick):
             ours = linalg.hermitian_eigen(h).values
             ref = _charpoly_roots(h)
             worst = max(worst, float(np.max(np.abs(ours - ref))))
-    return worst <= 1e-9, f"worst |jacobi - charpoly| {worst:.2e} (tol 1e-9)"
+    return worst <= 1e-9, f"worst |eigh - charpoly| {worst:.2e} (tol 1e-9)"
 
 
 def check_eigen_residuals(quick):

@@ -78,6 +78,11 @@ class TestGeneralizedForce:
         with pytest.raises(NonPositiveTemperatureError):
             generalized_force(build_single_spin_zeeman(1.0), 1.0, -0.5)
 
+    def test_rejects_infinite_temperature(self):
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        with pytest.raises(NonPositiveTemperatureError, match="inf"):
+            generalized_force(model, 1.0, np.inf)
+
 
 class TestMaxwellResidual:
     def test_dimer_exchange(self):
@@ -155,6 +160,12 @@ class TestIsothermalEntropyChange:
         with pytest.raises(NonPositiveTemperatureError):
             isothermal_entropy_change(model, 0.5, 1.5, 0.0)
 
+    def test_rejects_infinite_temperature(self):
+        # used to integrate an all-zero integrand and return 0.0
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        with pytest.raises(NonPositiveTemperatureError, match="inf"):
+            isothermal_entropy_change(model, 0.5, 1.5, np.inf)
+
 
 class TestAdiabaticTemperatureChange:
     def test_empty_sweep_is_exactly_zero(self):
@@ -197,6 +208,12 @@ class TestAdiabaticTemperatureChange:
         model = build_dimer(J=1.0, b=0.0, parameter="J")
         with pytest.raises(DegenerateVarianceError):
             adiabatic_temperature_change(model, 1.0, 2.0, 0.01)
+
+    def test_rejects_infinite_start_temperature(self):
+        # used to spend the whole RK4 doubling budget before failing
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        with pytest.raises(NonPositiveTemperatureError, match="inf"):
+            adiabatic_temperature_change(model, 0.5, 1.5, np.inf)
 
 
 class TestEntropyMatching:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcaloric.errors import NonHermitianError
+from qcaloric.errors import NoConvergenceError, NonHermitianError
 from qcaloric.linalg import (
     HermitianOperator,
     eigenbasis_diagonal,
@@ -150,6 +150,15 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian_array(self):
         with pytest.raises(NonHermitianError):
             hermitian_eigen(np.array([[0.0, 2.0], [1.0, 0.0]]))
+
+    def test_lapack_failure_raises_no_convergence(self, monkeypatch):
+        def failing_eigh(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        _, _, _, sx, _, _ = spin_half_operators()
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            hermitian_eigen(sx)
 
     def test_zero_matrix(self):
         dec = hermitian_eigen(np.zeros((3, 3), dtype=complex))

@@ -295,3 +295,10 @@ class TestProcessDecompose:
         model = build_single_spin_zeeman(1.0)
         with pytest.raises(NonPositiveTemperatureError):
             process_decompose(model, [(1.0, 1.0), (2.0, 0.0)])
+
+    def test_infinite_temperature_in_path(self):
+        # interpolating inf used to surface as "T = nan K"
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        for path in ([(0.5, np.inf), (1.5, np.inf)], [(0.5, 1.0), (1.5, np.inf)]):
+            with pytest.raises(NonPositiveTemperatureError, match="inf K"):
+                process_decompose(model, path)
