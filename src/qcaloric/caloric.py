@@ -38,7 +38,8 @@ from .errors import (
 )
 from .linalg import eigenbasis_diagonal, hermitian_eigen
 from .models import ParamHamiltonian
-from .thermal import _moments, entropy_from_populations, populations_from_levels
+from .thermal import (_moments, _require_temperature, entropy_from_populations,
+                      populations_from_levels)
 
 _QUAD_TOL = 1e-8          # successive-estimate tolerance, absolute and relative
 _QUAD_MAX_DOUBLINGS = 16
@@ -94,16 +95,18 @@ class _SpectralCache:
     """Eigen-data of one model, memoized per lambda.
 
     Adiabat integration and interval-doubling quadrature revisit the same
-    lambda values across refinement levels; caching the eigensystem (and the
-    derivative's energy-basis diagonal) makes each revisit free. Populations
-    are recomputed per temperature, which is cheap.
+    lambda values across refinement levels; caching the levels and the
+    derivative's energy-basis diagonal makes each revisit free. ``at`` is the
+    one lookup: it adds the populations at T, which are cheap and recomputed
+    per call; ``entropy`` and ``force`` are views of it.
     """
 
     def __init__(self, model: ParamHamiltonian):
         self.model = model
         self._data: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def at(self, lam: float) -> Tuple[np.ndarray, np.ndarray]:
+    def at(self, lam: float, temperature: float):
+        """(populations, levels, dH/dlambda diagonal), as ``_moments`` takes them."""
         got = self._data.get(lam)
         if got is None:
             spectrum = hermitian_eigen(self.model.evaluate(lam))
@@ -111,23 +114,14 @@ class _SpectralCache:
                 self.model.derivative(lam), spectrum.vectors)
             got = (spectrum.values, d_diag)
             self._data[lam] = got
-        return got
-
-    def moments(self, lam: float, temperature: float):
-        """(U, var[H], Cov(dH/dlambda, H), populations, energies)."""
-        energies, d_diag = self.at(lam)
-        p, _ = populations_from_levels(energies, temperature)
-        u, var, _, cov = _moments(p, energies, d_diag)
-        return u, var, cov, p, energies
+        levels, d_diag = got
+        return populations_from_levels(levels, temperature)[0], levels, d_diag
 
     def entropy(self, lam: float, temperature: float) -> float:
-        energies, _ = self.at(lam)
-        p, _ = populations_from_levels(energies, temperature)
-        return entropy_from_populations(p)
+        return entropy_from_populations(self.at(lam, temperature)[0])
 
     def force(self, lam: float, temperature: float) -> float:
-        energies, d_diag = self.at(lam)
-        p, _ = populations_from_levels(energies, temperature)
+        p, _, d_diag = self.at(lam, temperature)
         return -float(np.dot(p, d_diag))
 
 
@@ -137,8 +131,7 @@ def generalized_force(model: ParamHamiltonian, lam: float, temperature: float) -
     Evaluated through the analytic derivative operator, kelvin per unit
     lambda.
     """
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(f"T = {temperature:g} K must be > 0")
+    _require_temperature(temperature)
     return _SpectralCache(model).force(lam, temperature)
 
 
@@ -149,8 +142,7 @@ def maxwell_residual(model: ParamHamiltonian, lam: float, temperature: float) ->
     numerical residual (k_B per unit lambda). Steps are
     ``h_lambda = 1e-4 * max(1, |lambda|)`` and ``h_T = 1e-4 * T``.
     """
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(f"T = {temperature:g} K must be > 0")
+    _require_temperature(temperature)
     cache = _SpectralCache(model)
     h_lam = 1e-4 * max(1.0, abs(lam))
     h_t = 1e-4 * temperature
@@ -203,8 +195,7 @@ def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
     QuadratureNoConvergenceError
         After 16 interval doublings.
     """
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(f"T = {temperature:g} K must be > 0")
+    _require_temperature(temperature)
     if lambda_i == lambda_f:
         return CaloricResult("entropy_change", 0.0, lambda_i, lambda_f,
                              temperature, "quadrature", 0.0, 0)
@@ -212,8 +203,7 @@ def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
     t_sq = temperature * temperature
 
     def integrand(lam: float) -> float:
-        _, _, cov, _, _ = cache.moments(lam, temperature)
-        return -cov / t_sq
+        return -_moments(*cache.at(lam, temperature))[3] / t_sq
 
     value, err, levels = _simpson_doubling(
         integrand, lambda_i, lambda_f, "isothermal entropy change")
@@ -224,8 +214,7 @@ def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
 def isothermal_entropy_change_direct(model: ParamHamiltonian, lambda_i: float,
                                      lambda_f: float, temperature: float) -> CaloricResult:
     """Oracle route: dS = S(lambda_f, T) - S(lambda_i, T) as a state function."""
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(f"T = {temperature:g} K must be > 0")
+    _require_temperature(temperature)
     if lambda_i == lambda_f:
         return CaloricResult("entropy_change", 0.0, lambda_i, lambda_f,
                              temperature, "direct", 0.0, 0)
@@ -239,8 +228,9 @@ def _isentrope_rhs(cache: _SpectralCache, lam: float, temperature: float) -> flo
     if not temperature > 0:
         raise NonPositiveTemperatureError(
             f"temperature left the positive domain at lambda = {lam:g}")
-    _, var, cov, _, energies = cache.moments(lam, temperature)
-    spread = float(energies[-1] - energies[0])
+    p, levels, d_diag = cache.at(lam, temperature)
+    _, var, _, cov = _moments(p, levels, d_diag)
+    spread = float(levels[-1] - levels[0])
     if spread == 0.0 or var < _VARIANCE_FLOOR_REL * spread * spread:
         raise DegenerateVarianceError(
             f"var[H] = {var:.3e} at lambda = {lam:g}, T = {temperature:g} K "
@@ -297,8 +287,7 @@ def adiabatic_temperature_change(model: ParamHamiltonian, lambda_i: float,
         var[H] below 1e-14 * (E_max - E_min)^2 anywhere along the path.
     OdeNoConvergenceError
     """
-    if not T_start > 0:
-        raise NonPositiveTemperatureError(f"T_start = {T_start:g} K must be > 0")
+    _require_temperature(T_start, "T_start")
     if lambda_i == lambda_f:
         return CaloricResult("temperature_change", 0.0, lambda_i, lambda_f,
                              T_start, "ode", 0.0, 0,
@@ -328,8 +317,7 @@ def adiabatic_temperature_change_matching(model: ParamHamiltonian, lambda_i: flo
     BracketFailureError
         Target entropy not attained inside the bracket.
     """
-    if not T_start > 0:
-        raise NonPositiveTemperatureError(f"T_start = {T_start:g} K must be > 0")
+    _require_temperature(T_start, "T_start")
     if lambda_i == lambda_f:
         return CaloricResult("temperature_change", 0.0, lambda_i, lambda_f,
                              T_start, "entropy_matching", 0.0, 0)
@@ -374,8 +362,7 @@ def classical_adiabatic_temperature_change(model: ParamHamiltonian,
     ZeroTotalHeatError
         c_B + c_l below 1e-14 somewhere on the path.
     """
-    if not T_start > 0:
-        raise NonPositiveTemperatureError(f"T_start = {T_start:g} K must be > 0")
+    _require_temperature(T_start, "T_start")
     if model.parameter_name != "b":
         raise NoZeemanTermError(
             "classical adiabat needs the field as working parameter")
@@ -388,7 +375,7 @@ def classical_adiabatic_temperature_change(model: ParamHamiltonian,
         if not t > 0:
             raise NonPositiveTemperatureError(
                 f"temperature left the positive domain at b = {lam:g}")
-        _, var, cov, _, _ = cache.moments(lam, t)
+        _, var, _, cov = _moments(*cache.at(lam, t))
         c_total = var / (t * t) + lattice(t)
         if c_total < 1e-14:
             raise ZeroTotalHeatError(

@@ -18,12 +18,12 @@ from .caloric import _simpson_doubling
 from .errors import (
     AnisotropicStateError,
     NegativeSusceptibilityError,
-    NonPositiveTemperatureError,
     SignCrossingError,
 )
 from .linalg import eigenbasis_diagonal, hermitian_eigen, kron, spin_half_operators
 from .models import build_dimer
-from .thermal import _moments, populations_from_levels, thermal_average, thermal_state
+from .thermal import (_moments, _require_temperature, populations_from_levels,
+                      thermal_average, thermal_state)
 
 _ISOTROPY_TOL = 1e-8
 
@@ -70,8 +70,7 @@ def pair_correlation(J: float, T: float) -> CorrelationRecord:
     AnisotropicStateError
         If the three components disagree beyond 1e-8.
     """
-    if not T > 0:
-        raise NonPositiveTemperatureError(f"T = {T:g} K must be > 0")
+    _require_temperature(T)
     model = build_dimer(J=J, b=0.0, parameter="J")
     state = thermal_state(model, J, T)
     c_x, c_y, c_z = (thermal_average(state, op)
@@ -110,8 +109,7 @@ def discord_from_susceptibility(chi: float, T: float) -> float:
     NonPositiveTemperatureError
     NegativeSusceptibilityError
     """
-    if not T > 0:
-        raise NonPositiveTemperatureError(f"T = {T:g} K must be > 0")
+    _require_temperature(T)
     if chi < 0:
         raise NegativeSusceptibilityError(f"chi = {chi:g} must be >= 0")
     return 0.5 * abs(2.0 * T * chi - 1.0)
@@ -123,8 +121,7 @@ def discord_temperature_derivative(J: float, T: float) -> float:
     D = |c|/2 with sign(c) = -sign(J), so dD/dT =
     -sign(J)/2 * Cov(c_op, H) / T^2 with c_op = sigma1.sigma2 / 3.
     """
-    if not T > 0:
-        raise NonPositiveTemperatureError(f"T = {T:g} K must be > 0")
+    _require_temperature(T)
     model = build_dimer(J=J, b=0.0, parameter="J")
     spectrum = hermitian_eigen(model.evaluate(J))
     c_diag = eigenbasis_diagonal(model.derivative(J), spectrum.vectors) / 3.0
@@ -148,8 +145,7 @@ def entropy_change_from_discord(J_i: float, J_f: float, T: float) -> float:
         J_i and J_f not strictly of the same sign.
     NonPositiveTemperatureError
     """
-    if not T > 0:
-        raise NonPositiveTemperatureError(f"T = {T:g} K must be > 0")
+    _require_temperature(T)
     if J_i == J_f:
         return 0.0
     if J_i * J_f <= 0:

@@ -2,7 +2,9 @@
 
 Covers the two-spin Heisenberg-plus-Zeeman dimer, the single-spin Zeeman
 paramagnet, and a tabulated-spectrum escape hatch for externally supplied
-level schemes.
+level schemes. The caloric parameter enters every built-in family linearly,
+so each is H(lambda) = H0 + lambda * V with the constant derivative V, made
+by one constructor from the pair (H0, V).
 
 Conventions
 -----------
@@ -18,7 +20,7 @@ field ``b = g * mu_B * B / k_B`` in kelvin. To translate to the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, ClassVar, Mapping, Optional
 
 import numpy as np
 
@@ -34,20 +36,19 @@ from .linalg import HermitianOperator, kron, spin_half_operators
 class UnitSystem:
     """Physical constants for I/O conversions. The engine itself uses k_B = 1.
 
-    ``mu_B_over_kB`` is the Bohr magneton over the Boltzmann constant in
-    kelvin per tesla; ``g`` the isotropic Lande factor; ``N_A`` and ``k_B_SI``
-    only enter molar-susceptibility reduction.
+    ``g`` is the isotropic Lande factor, the one setting. The class constants
+    ``mu_B_over_kB`` (Bohr magneton over the Boltzmann constant, kelvin per
+    tesla), ``N_A`` and ``k_B_SI`` only enter unit conversions.
     """
 
     g: float = 2.0
-    mu_B_over_kB: float = 0.6717        # K/T
-    N_A: float = 6.02214076e23          # 1/mol
-    k_B_SI: float = 1.380649e-23        # J/K
+    mu_B_over_kB: ClassVar[float] = 0.6717        # K/T
+    N_A: ClassVar[float] = 6.02214076e23          # 1/mol
+    k_B_SI: ClassVar[float] = 1.380649e-23        # J/K
 
     def __post_init__(self):
-        for name in ("g", "mu_B_over_kB", "N_A", "k_B_SI"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"UnitSystem.{name} must be positive")
+        if not self.g > 0:
+            raise ValueError("UnitSystem.g must be positive")
 
     def field_to_kelvin(self, b_tesla: float) -> float:
         """Reduced field b = g * mu_B * B / k_B in kelvin."""
@@ -115,8 +116,9 @@ class ParamHamiltonian:
     frozen_params : mapping
         The non-promoted symbols, name -> value in kelvin.
     evaluate, derivative : callable
-        lambda (kelvin) -> HermitianOperator. ``derivative`` is exact for
-        the built-in models; tabulated models use grid differences.
+        lambda (kelvin) -> HermitianOperator. The built-in families are
+        H0 + lambda * V from one constructor, so ``derivative`` is the
+        exact constant V; tabulated models use grid differences.
     magnetization_operator : HermitianOperator or None
         Total S_z in spin-1/2 units, present when the model carries a
         Zeeman structure.
@@ -130,12 +132,18 @@ class ParamHamiltonian:
     magnetization_operator: Optional[HermitianOperator] = field(default=None)
 
 
-def _dimer_operators():
-    Sx, Sy, Sz, sx, sy, sz = spin_half_operators()
-    eye = np.eye(2, dtype=complex)
-    exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
-    total_sz = kron(Sz, eye) + kron(eye, Sz)
-    return HermitianOperator(exchange), HermitianOperator(total_sz)
+def _affine(parameter: str, frozen: Mapping[str, float], h0: np.ndarray,
+            v: np.ndarray, magnetization: HermitianOperator) -> ParamHamiltonian:
+    """The family H(lambda) = h0 + lambda * v with constant derivative v."""
+    v_op = HermitianOperator(v)
+    return ParamHamiltonian(
+        dimension=v_op.dim,
+        parameter_name=parameter,
+        frozen_params=frozen,
+        evaluate=lambda lam: HermitianOperator(h0 + lam * v),
+        derivative=lambda lam: v_op,
+        magnetization_operator=magnetization,
+    )
 
 
 def build_dimer(J: float, b: float, parameter: str) -> ParamHamiltonian:
@@ -156,38 +164,16 @@ def build_dimer(J: float, b: float, parameter: str) -> ParamHamiltonian:
         4-dimensional family with exact derivative ``sigma1.sigma2`` (for
         "J") or ``-(S1z + S2z)`` (for "b").
     """
-    exchange, total_sz = _dimer_operators()
+    _, _, Sz, sx, sy, sz = spin_half_operators()
+    eye = np.eye(2, dtype=complex)
+    exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
+    total_sz = kron(Sz, eye) + kron(eye, Sz)
+    m_op = HermitianOperator(total_sz)
     if parameter == "J":
-        frozen = {"b": float(b)}
-
-        def evaluate(lam: float) -> HermitianOperator:
-            return HermitianOperator(
-                lam * exchange.matrix - frozen["b"] * total_sz.matrix)
-
-        def derivative(lam: float) -> HermitianOperator:
-            return exchange
-
-    elif parameter == "b":
-        frozen = {"J": float(J)}
-
-        def evaluate(lam: float) -> HermitianOperator:
-            return HermitianOperator(
-                frozen["J"] * exchange.matrix - lam * total_sz.matrix)
-
-        def derivative(lam: float) -> HermitianOperator:
-            return HermitianOperator(-total_sz.matrix)
-
-    else:
-        raise ValueError(f"parameter must be 'J' or 'b', got {parameter!r}")
-
-    return ParamHamiltonian(
-        dimension=4,
-        parameter_name=parameter,
-        frozen_params=frozen,
-        evaluate=evaluate,
-        derivative=derivative,
-        magnetization_operator=total_sz,
-    )
+        return _affine("J", {"b": float(b)}, -float(b) * total_sz, exchange, m_op)
+    if parameter == "b":
+        return _affine("b", {"J": float(J)}, float(J) * exchange, -total_sz, m_op)
+    raise ValueError(f"parameter must be 'J' or 'b', got {parameter!r}")
 
 
 def build_single_spin_zeeman(b: float = 0.0) -> ParamHamiltonian:
@@ -196,23 +182,7 @@ def build_single_spin_zeeman(b: float = 0.0) -> ParamHamiltonian:
     ``b`` is a nominal starting value; the field is the working parameter.
     """
     Sz = spin_half_operators()[2]
-    sz_op = HermitianOperator(Sz)
-    minus_sz = HermitianOperator(-Sz)
-
-    def evaluate(lam: float) -> HermitianOperator:
-        return HermitianOperator(-lam * Sz)
-
-    def derivative(lam: float) -> HermitianOperator:
-        return minus_sz
-
-    return ParamHamiltonian(
-        dimension=2,
-        parameter_name="b",
-        frozen_params={},
-        evaluate=evaluate,
-        derivative=derivative,
-        magnetization_operator=sz_op,
-    )
+    return _affine("b", {}, np.zeros_like(Sz), -Sz, HermitianOperator(Sz))
 
 
 def build_tabulated(table: SpectrumTable) -> ParamHamiltonian:

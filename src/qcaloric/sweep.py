@@ -82,34 +82,27 @@ def run_sweep(scenario: Scenario, *,
     if sweep_labels is None:
         sweep_labels = [f"J={lam:g}" for lam in lams]
 
+    # endpoint computations: curve name, value unit and the call at one T;
+    # the lambdas resolve their callee when called, not when built
+    lattice = scenario.lattice or LatticeHeatSpec()
+    endpoint = {
+        "entropy": ("entropy_change", "kB",
+                    lambda t: isothermal_entropy_change(model, lam_i, lam_f, t)),
+        "adiabatic": ("adiabatic_temperature_change", "K",
+                      lambda t: adiabatic_temperature_change(model, lam_i, lam_f, t)),
+        "classical_adiabatic": (
+            "classical_adiabatic_temperature_change", "K",
+            lambda t: classical_adiabatic_temperature_change(
+                model, lattice, lam_i, lam_f, t)),
+    }
+
     curves = []
     for comp in scenario.computations:
-        if comp == "entropy":
-            results = _parallel_map(_wrap(
-                lambda t: isothermal_entropy_change(model, lam_i, lam_f, t),
-                comp, lam_desc), temps)
+        if comp in endpoint:
+            name, unit, fn = endpoint[comp]
+            results = _parallel_map(_wrap(fn, comp, lam_desc), temps)
             curves.append(Curve(
-                name="entropy_change", abscissa_unit="K", value_unit="kB",
-                points=tuple((t, r.value, r.error_estimate)
-                             for t, r in zip(temps, results))))
-        elif comp == "adiabatic":
-            results = _parallel_map(_wrap(
-                lambda t: adiabatic_temperature_change(model, lam_i, lam_f, t),
-                comp, lam_desc), temps)
-            curves.append(Curve(
-                name="adiabatic_temperature_change", abscissa_unit="K",
-                value_unit="K",
-                points=tuple((t, r.value, r.error_estimate)
-                             for t, r in zip(temps, results))))
-        elif comp == "classical_adiabatic":
-            lattice = scenario.lattice or LatticeHeatSpec()
-            results = _parallel_map(_wrap(
-                lambda t: classical_adiabatic_temperature_change(
-                    model, lattice, lam_i, lam_f, t),
-                comp, lam_desc), temps)
-            curves.append(Curve(
-                name="classical_adiabatic_temperature_change",
-                abscissa_unit="K", value_unit="K",
+                name=name, abscissa_unit="K", value_unit=unit,
                 points=tuple((t, r.value, r.error_estimate)
                              for t, r in zip(temps, results))))
         elif comp == "discord":

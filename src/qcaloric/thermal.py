@@ -91,6 +91,13 @@ class ProcessDecomposition:
         self.heat_steps.setflags(write=False)
 
 
+def _require_temperature(temperature: float, name: str = "T") -> None:
+    """Raise NonPositiveTemperatureError unless 0 < T < inf (NaN fails too)."""
+    if not 0 < temperature < math.inf:
+        raise NonPositiveTemperatureError(
+            f"{name} = {temperature:g} K must be finite and > 0")
+
+
 def populations_from_levels(levels: np.ndarray, temperature: float):
     """Boltzmann weights and ln Z from a level list, max-shifted.
 
@@ -98,9 +105,7 @@ def populations_from_levels(levels: np.ndarray, temperature: float):
     -------
     (populations, log_partition)
     """
-    if not 0 < temperature < math.inf:
-        raise NonPositiveTemperatureError(
-            f"T = {temperature:g} K must be finite and > 0")
+    _require_temperature(temperature)
     e_min = float(np.min(levels))
     weights = np.exp(-(levels - e_min) / temperature)
     z0 = float(np.sum(weights))
@@ -213,8 +218,7 @@ def zero_field_susceptibility(model: ParamHamiltonian, temperature: float) -> fl
     evaluated at b = 0. Units: (g mu_B)^2 / k_B per system, i.e. 1/kelvin
     in reduced form.
     """
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(f"T = {temperature:g} K must be > 0")
+    _require_temperature(temperature)
     if model.parameter_name != "b" or model.magnetization_operator is None:
         raise NoZeemanTermError(
             "zero-field susceptibility needs a field-parameterized model")
@@ -268,9 +272,7 @@ def process_decompose(model: ParamHamiltonian,
     if len(pts) < 2:
         raise EmptyPathError("process path needs at least 2 points")
     for _, t in pts:
-        if not 0 < t < math.inf:
-            raise NonPositiveTemperatureError(
-                f"path temperature {t:g} K must be finite and > 0")
+        _require_temperature(t, "path T")
 
     def refine(n_sub):
         out = []
