@@ -16,11 +16,13 @@ from .caloric import (
     CaloricResult,
     LatticeHeatSpec,
     adiabatic_temperature_change,
+    adiabatic_temperature_change_lanes,
     adiabatic_temperature_change_matching,
     classical_adiabatic_temperature_change,
     generalized_force,
     isothermal_entropy_change,
     isothermal_entropy_change_direct,
+    isothermal_entropy_change_lanes,
     maxwell_residual,
 )
 from .curves import Curve, CurveSet, emit_csv, emit_svg, render_csv, render_svg
@@ -88,6 +90,7 @@ __all__ = [
     "ThermodynamicPoint",
     "UnitSystem",
     "adiabatic_temperature_change",
+    "adiabatic_temperature_change_lanes",
     "adiabatic_temperature_change_matching",
     "build_dimer",
     "build_model",
@@ -104,6 +107,7 @@ __all__ = [
     "hermitian_eigen",
     "isothermal_entropy_change",
     "isothermal_entropy_change_direct",
+    "isothermal_entropy_change_lanes",
     "kron",
     "load_exchange_table",
     "magnetization",

@@ -18,12 +18,20 @@ the Zeeman case (heating when the field grows) pins the physical sign.
 
 Every potential ships with an independent oracle: the state-function entropy
 difference for dS_iso, and entropy-matching root finding for dT_ad.
+
+The quadrature and the adiabat integrate temperatures as lanes: the
+``*_lanes`` routes evaluate a whole temperature array in one integration
+whose lanes share the lambda nodes, so each node is diagonalized once for
+all of them. Each lane keeps its own refinement level, and the
+single-temperature routes are the one-lane case of the same kernel.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,13 +41,14 @@ from .errors import (
     NonPositiveTemperatureError,
     NoZeemanTermError,
     OdeNoConvergenceError,
+    QCaloricError,
     QuadratureNoConvergenceError,
     ZeroTotalHeatError,
 )
 from .linalg import eigenbasis_diagonal, hermitian_eigen
 from .models import ParamHamiltonian
-from .thermal import (_moments, _require_temperature, entropy_from_populations,
-                      populations_from_levels)
+from .thermal import (_POPULATION_FLOOR, _require_lambda, _require_temperature,
+                      entropy_from_populations, populations_from_levels)
 
 _QUAD_TOL = 1e-8          # successive-estimate tolerance, absolute and relative
 _QUAD_MAX_DOUBLINGS = 16
@@ -94,28 +103,50 @@ class LatticeHeatSpec:
 class _SpectralCache:
     """Eigen-data of one model, memoized per lambda.
 
-    Adiabat integration and interval-doubling quadrature revisit the same
-    lambda values across refinement levels; caching the levels and the
-    derivative's energy-basis diagonal makes each revisit free. ``at`` is the
-    one lookup: it adds the populations at T, which are cheap and recomputed
-    per call; ``entropy`` and ``force`` are views of it.
+    Quadrature and adiabat nodes recur across refinement levels and across
+    temperature lanes, so each lambda is diagonalized once. Its data is kept
+    as one packed array whose rows are the levels E, the dH/dlambda diagonal
+    D, E^2, D*E and E_0 - E. ``at`` is the lookup at one T: it adds the
+    populations, which are cheap and recomputed per call; ``entropy`` and
+    ``force`` are views of it. ``lanes`` is the lookup for an array of T.
     """
 
     def __init__(self, model: ParamHamiltonian):
         self.model = model
-        self._data: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+        self._data: Dict[float, np.ndarray] = {}
 
-    def at(self, lam: float, temperature: float):
-        """(populations, levels, dH/dlambda diagonal), as ``_moments`` takes them."""
+    def rows(self, lam: float) -> np.ndarray:
+        """The packed rows at lam; H(lam) is diagonalized on first use."""
         got = self._data.get(lam)
         if got is None:
             spectrum = hermitian_eigen(self.model.evaluate(lam))
+            levels = spectrum.values
             d_diag = eigenbasis_diagonal(
                 self.model.derivative(lam), spectrum.vectors)
-            got = (spectrum.values, d_diag)
+            got = np.array((levels, d_diag, levels ** 2, d_diag * levels,
+                            levels[0] - levels))
             self._data[lam] = got
-        levels, d_diag = got
+        return got
+
+    def at(self, lam: float, temperature: float):
+        """(populations, levels, dH/dlambda diagonal), as ``_moments`` takes them."""
+        levels, d_diag = self.rows(lam)[:2]
         return populations_from_levels(levels, temperature)[0], levels, d_diag
+
+    def lanes(self, lam: float, temps: np.ndarray):
+        """(var[H], Cov(dH/dlambda, H)) at lam, one entry per temperature.
+
+        The populations and raw moments of ``populations_from_levels`` and
+        ``_moments``, one row per lane. Sums run along each lane's own row,
+        so a lane's bits do not depend on the lanes evaluated with it.
+        """
+        rows = self.rows(lam)
+        weights = np.exp(rows[4] / temps[:, None])
+        p = weights / np.add.reduce(weights, 1, keepdims=True)
+        p[p < _POPULATION_FLOOR] = 0.0
+        means = np.add.reduce(p[:, None, :] * rows[:4], 2)   # <E>, <D>, <E^2>, <DE>
+        central = means[:, 2:] - means[:, :2] * means[:, :1]
+        return np.maximum(central[:, 0], 0.0), central[:, 1]
 
     def entropy(self, lam: float, temperature: float) -> float:
         return entropy_from_populations(self.at(lam, temperature)[0])
@@ -125,6 +156,33 @@ class _SpectralCache:
         return -float(np.dot(p, d_diag))
 
 
+def _open_lanes(temperatures, name: str, *lambdas: float):
+    """Guard each lane of an endpoint computation before any eigensolve.
+
+    Returns the temperatures as an array, one slot per lane and the indices
+    of the live lanes. A slot holds the QCaloricError the temperature or
+    lambda guard raised for that lane, or None where the lane is live.
+    """
+    temps = np.asarray(temperatures, dtype=float)
+    slots = []
+    for t in temps.tolist():
+        try:
+            _require_temperature(t, name)
+            _require_lambda(*lambdas)
+            slots.append(None)
+        except QCaloricError as exc:
+            slots.append(exc)
+    live = np.array([j for j, slot in enumerate(slots) if slot is None], dtype=int)
+    return temps, slots, live
+
+
+def _single(slots) -> CaloricResult:
+    """The one lane of a scalar call: its result, or its error raised."""
+    if isinstance(slots[0], QCaloricError):
+        raise slots[0]
+    return slots[0]
+
+
 def generalized_force(model: ParamHamiltonian, lam: float, temperature: float) -> float:
     """Y = -<dH/dlambda>, the thermal-average (Ehrenfest) form.
 
@@ -132,6 +190,7 @@ def generalized_force(model: ParamHamiltonian, lam: float, temperature: float) -
     lambda.
     """
     _require_temperature(temperature)
+    _require_lambda(lam)
     return _SpectralCache(model).force(lam, temperature)
 
 
@@ -143,6 +202,7 @@ def maxwell_residual(model: ParamHamiltonian, lam: float, temperature: float) ->
     ``h_lambda = 1e-4 * max(1, |lambda|)`` and ``h_T = 1e-4 * T``.
     """
     _require_temperature(temperature)
+    _require_lambda(lam)
     cache = _SpectralCache(model)
     h_lam = 1e-4 * max(1.0, abs(lam))
     h_t = 1e-4 * temperature
@@ -153,33 +213,81 @@ def maxwell_residual(model: ParamHamiltonian, lam: float, temperature: float) ->
     return ds_dlam + davg_dt
 
 
-def _simpson_doubling(f: Callable[[float], float], a: float, b: float,
-                      what: str):
-    """Composite Simpson on [a, b] with interval doubling.
+def _simpson_lanes(f, a: float, b: float, lanes: np.ndarray, what: str):
+    """Composite Simpson on [a, b] with interval doubling, lane by lane.
 
-    Stops when successive estimates differ by less than 1e-8 absolutely or
-    relatively; reuses all previous integrand evaluations via the midpoint
-    sums. Returns (value, error_estimate, doublings_used).
+    ``f(lam, lanes)`` returns the integrand at ``lam`` for each lane index
+    in ``lanes``. A lane stops when its successive estimates differ by less
+    than 1e-8 absolutely or relatively and is frozen there; later doublings
+    evaluate only the lanes still active. All previous integrand evaluations
+    are reused via the midpoint sums. Returns {lane: (value,
+    error_estimate, doublings_used)}, or the lane's QCaloricError.
     """
-    n = 2
-    h = (b - a) / n
-    end_sum = f(a) + f(b)
-    odd_sum = f(a + h)          # nodes with odd index at current n
-    even_sum = 0.0              # interior nodes with even index
-    estimate = h / 3.0 * (end_sum + 4.0 * odd_sum + 2.0 * even_sum)
-    for level in range(1, _QUAD_MAX_DOUBLINGS + 1):
-        n *= 2
+    out = {}
+    if not lanes.size:
+        return out
+    try:
+        n = 2
         h = (b - a) / n
-        even_sum += odd_sum
-        odd_sum = sum(f(a + h * k) for k in range(1, n, 2))
-        new_estimate = h / 3.0 * (end_sum + 4.0 * odd_sum + 2.0 * even_sum)
-        diff = abs(new_estimate - estimate)
-        estimate = new_estimate
-        if diff < max(_QUAD_TOL, _QUAD_TOL * abs(estimate)):
-            return estimate, diff, level
-    raise QuadratureNoConvergenceError(
-        f"{what}: Simpson not converged after {_QUAD_MAX_DOUBLINGS} doublings "
-        f"(last difference {diff:.3e})")
+        end_sum = f(a, lanes) + f(b, lanes)
+        odd_sum = f(a + h, lanes)          # nodes with odd index at current n
+        even_sum = np.zeros(len(lanes))    # interior nodes with even index
+        estimate = h / 3.0 * (end_sum + 4.0 * odd_sum + 2.0 * even_sum)
+        for level in range(1, _QUAD_MAX_DOUBLINGS + 1):
+            n *= 2
+            h = (b - a) / n
+            even_sum = even_sum + odd_sum
+            odd_sum = 0.0
+            for k in range(1, n, 2):
+                odd_sum = odd_sum + f(a + h * k, lanes)
+            new_estimate = h / 3.0 * (end_sum + 4.0 * odd_sum + 2.0 * even_sum)
+            diff = np.abs(new_estimate - estimate)
+            estimate = new_estimate
+            done = diff < np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(estimate))
+            for lane, value, err in zip(lanes[done].tolist(), estimate[done].tolist(),
+                                        diff[done].tolist()):
+                out[lane] = (value, err, level)
+            lanes, end_sum, odd_sum, even_sum, estimate, diff = (
+                x[~done] for x in (lanes, end_sum, odd_sum, even_sum, estimate, diff))
+            if not lanes.size:
+                return out
+        for lane, err in zip(lanes.tolist(), diff.tolist()):
+            out[lane] = QuadratureNoConvergenceError(
+                f"{what}: Simpson not converged after {_QUAD_MAX_DOUBLINGS} "
+                f"doublings (last difference {err:.3e})")
+    except QCaloricError as exc:
+        out.update(dict.fromkeys(lanes.tolist(), exc))
+    return out
+
+
+def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
+                                    lambda_f: float, temperatures) -> list:
+    """``isothermal_entropy_change`` at each of ``temperatures``, evaluated
+    as the lanes of one Simpson quadrature.
+
+    The lanes share the lambda nodes and one spectral cache, so each node
+    is diagonalized once for all temperatures. Each lane stops at its own
+    refinement level and equals the single-temperature call bit for bit.
+    Returns one entry per temperature: its CaloricResult, or the
+    QCaloricError its single call raises.
+    """
+    temps, slots, live = _open_lanes(temperatures, "T", lambda_i, lambda_f)
+    if lambda_i == lambda_f:
+        done = dict.fromkeys(live.tolist(), (0.0, 0.0, 0))
+    else:
+        cache = _SpectralCache(model)
+        t_sq = temps * temps
+
+        def integrand(lam, lanes):
+            return -cache.lanes(lam, temps[lanes])[1] / t_sq[lanes]
+
+        done = _simpson_lanes(integrand, lambda_i, lambda_f, live,
+                              "isothermal entropy change")
+    for j, got in done.items():
+        slots[j] = got if isinstance(got, QCaloricError) else CaloricResult(
+            "entropy_change", got[0], lambda_i, lambda_f, float(temps[j]),
+            "quadrature", got[1], got[2])
+    return slots
 
 
 def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
@@ -192,29 +300,19 @@ def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
     Raises
     ------
     NonPositiveTemperatureError
+    NonFiniteParameterError
     QuadratureNoConvergenceError
         After 16 interval doublings.
     """
-    _require_temperature(temperature)
-    if lambda_i == lambda_f:
-        return CaloricResult("entropy_change", 0.0, lambda_i, lambda_f,
-                             temperature, "quadrature", 0.0, 0)
-    cache = _SpectralCache(model)
-    t_sq = temperature * temperature
-
-    def integrand(lam: float) -> float:
-        return -_moments(*cache.at(lam, temperature))[3] / t_sq
-
-    value, err, levels = _simpson_doubling(
-        integrand, lambda_i, lambda_f, "isothermal entropy change")
-    return CaloricResult("entropy_change", value, lambda_i, lambda_f,
-                         temperature, "quadrature", err, levels)
+    return _single(isothermal_entropy_change_lanes(
+        model, lambda_i, lambda_f, [temperature]))
 
 
 def isothermal_entropy_change_direct(model: ParamHamiltonian, lambda_i: float,
                                      lambda_f: float, temperature: float) -> CaloricResult:
     """Oracle route: dS = S(lambda_f, T) - S(lambda_i, T) as a state function."""
     _require_temperature(temperature)
+    _require_lambda(lambda_i, lambda_f)
     if lambda_i == lambda_f:
         return CaloricResult("entropy_change", 0.0, lambda_i, lambda_f,
                              temperature, "direct", 0.0, 0)
@@ -224,52 +322,161 @@ def isothermal_entropy_change_direct(model: ParamHamiltonian, lambda_i: float,
                          temperature, "direct", 0.0, 0)
 
 
-def _isentrope_rhs(cache: _SpectralCache, lam: float, temperature: float) -> float:
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(
-            f"temperature left the positive domain at lambda = {lam:g}")
-    p, levels, d_diag = cache.at(lam, temperature)
-    _, var, _, cov = _moments(p, levels, d_diag)
-    spread = float(levels[-1] - levels[0])
-    if spread == 0.0 or var < _VARIANCE_FLOOR_REL * spread * spread:
-        raise DegenerateVarianceError(
-            f"var[H] = {var:.3e} at lambda = {lam:g}, T = {temperature:g} K "
-            "(flat spectrum or effectively infinite temperature)")
-    return temperature * cov / var
+def _positive_or_one(t: np.ndarray) -> np.ndarray:
+    """``t`` itself when every lane temperature is > 0, else a copy in which
+    the others (NaN included) are 1, so that their moments stay finite."""
+    return t if np.minimum.reduce(t) > 0 else np.where(t > 0, t, 1.0)
 
 
-def _rk4_adiabat(rhs, lambda_i: float, lambda_f: float, t_start: float):
-    """Integrate dT/dlambda by classical RK4 with step doubling.
+def _fail_lanes(failed: dict, lanes: np.ndarray, bad: np.ndarray, t: np.ndarray,
+                where: str, error) -> None:
+    """Record the error of each ``bad`` lane in ``failed``, unless it has one.
 
-    Doubles the step count until successive end temperatures agree to
-    1e-9 K. Returns (T_f, error, doublings, nodes of the final pass).
+    A lane whose temperature left the positive domain fails for that;
+    any other bad lane fails with ``error(j)``, j its position in ``bad``.
     """
+    for j in np.flatnonzero(bad).tolist():
+        lane = int(lanes[j])
+        if lane not in failed:
+            failed[lane] = error(j) if t[j] > 0 else NonPositiveTemperatureError(
+                f"temperature left the positive domain at {where}")
+
+
+def _isentrope_slopes(cache: _SpectralCache, lam: float, t: np.ndarray,
+                      lanes: np.ndarray, failed: dict) -> np.ndarray:
+    """dT/dlambda = T*Cov/var for the lane temperatures ``t`` at lam.
+
+    A lane that cannot go on gets NaN, and its error goes into ``failed``.
+    """
+    levels = cache.rows(lam)[0]
+    spread = float(levels[-1] - levels[0])
+    floor = _VARIANCE_FLOOR_REL * spread * spread if spread else math.inf
+    t_ok = _positive_or_one(t)
+    var, cov = cache.lanes(lam, t_ok)
+    if t_ok is t and np.minimum.reduce(var) >= floor:
+        return t * cov / var
+    bad = (var < floor) | ~(t > 0)
+    _fail_lanes(failed, lanes, bad, t, f"lambda = {lam:g}",
+                lambda j: DegenerateVarianceError(
+                    f"var[H] = {var[j]:.3e} at lambda = {lam:g}, T = {t[j]:g} K "
+                    "(flat spectrum or effectively infinite temperature)"))
+    return t * cov / np.where(bad, np.nan, var)
+
+
+def _rk4_lanes(slopes, lambda_i: float, lambda_f: float, t_start: np.ndarray,
+               lanes: np.ndarray):
+    """Integrate dT/dlambda by classical RK4 with step doubling, lane by lane.
+
+    ``slopes(lam, t, lanes, failed)`` returns dT/dlambda at lam for the
+    lane temperatures ``t`` (lanes index ``t_start``) and records the lanes
+    that cannot go on in ``failed``. A lane doubles its step count until
+    successive end temperatures agree to 1e-9 K and is then frozen; later
+    passes integrate only the active lanes. A failed lane carries NaN to the
+    end of its pass (a pass in which every lane failed stops there) and is
+    dropped with the first error it met. Returns
+    {lane: (T_f, error, doublings, nodes of the final pass)}, or the lane's
+    QCaloricError.
+    """
+    out = {}
+    if not lanes.size:
+        return out
+
     def integrate(n_steps: int):
         h = (lambda_f - lambda_i) / n_steps
-        lam, t = lambda_i, t_start
-        nodes = [(lam, t)]
-        for _ in range(n_steps):
-            k1 = rhs(lam, t)
-            k2 = rhs(lam + h / 2.0, t + h / 2.0 * k1)
-            k3 = rhs(lam + h / 2.0, t + h / 2.0 * k2)
-            k4 = rhs(lam + h, t + h * k3)
-            t += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        half, sixth = h / 2.0, h / 6.0
+        lam, t = lambda_i, t_start[lanes]
+        lams = [lam]
+        ts = np.full((n_steps + 1, len(lanes)), np.nan)   # node temperatures per lane
+        ts[0] = t
+        failed_before = len(out)
+        for step in range(1, n_steps + 1):
+            if len(out) - failed_before == len(lanes):
+                break
+            k1 = slopes(lam, t, lanes, out)
+            k2 = slopes(lam + half, t + half * k1, lanes, out)
+            k3 = slopes(lam + half, t + half * k2, lanes, out)
+            k4 = slopes(lam + h, t + h * k3, lanes, out)
+            t = t + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             lam += h
-            nodes.append((lam, t))
-        return t, nodes
+            lams.append(lam)
+            ts[step] = t
+        alive = np.array([lane not in out for lane in lanes.tolist()], dtype=bool)
+        return alive, lams, ts
 
-    n = 16
-    t_end, nodes = integrate(n)
-    for level in range(1, _ODE_MAX_DOUBLINGS + 1):
-        n *= 2
-        t_new, nodes = integrate(n)
-        diff = abs(t_new - t_end)
-        t_end = t_new
-        if diff < _ODE_TOL:
-            return t_end, diff, level, nodes
-    raise OdeNoConvergenceError(
-        f"RK4 end temperature not stable after {_ODE_MAX_DOUBLINGS} doublings "
-        f"(last difference {diff:.3e} K)")
+    try:
+        n = 16
+        alive, _, ts = integrate(n)
+        lanes, t_end = lanes[alive], ts[-1, alive]
+        for level in range(1, _ODE_MAX_DOUBLINGS + 1):
+            if not lanes.size:
+                return out
+            n *= 2
+            alive, lams, ts = integrate(n)
+            diff = np.abs(ts[-1] - t_end)
+            done = alive & (diff < _ODE_TOL)
+            for j in np.flatnonzero(done).tolist():
+                out[int(lanes[j])] = (float(ts[-1, j]), float(diff[j]), level,
+                                      tuple(zip(lams, ts[:, j].tolist())))
+            keep = alive & ~done
+            lanes, t_end, diff = lanes[keep], ts[-1, keep], diff[keep]
+        for lane, err in zip(lanes.tolist(), diff.tolist()):
+            out[lane] = OdeNoConvergenceError(
+                f"RK4 end temperature not stable after {_ODE_MAX_DOUBLINGS} "
+                f"doublings (last difference {err:.3e} K)")
+    except QCaloricError as exc:
+        for lane in lanes.tolist():
+            out.setdefault(lane, exc)
+    return out
+
+
+def _classical_slopes(cache: _SpectralCache, lattice: LatticeHeatSpec, lam: float,
+                      t: np.ndarray, lanes: np.ndarray, failed: dict) -> np.ndarray:
+    """dT/db = Cov / (T * (c_B + c_l)) for the lane temperatures ``t`` at b = lam.
+
+    Lanes fail as in ``_isentrope_slopes``.
+    """
+    t_ok = _positive_or_one(t)
+    var, cov = cache.lanes(lam, t_ok)
+    c_total = var / (t_ok * t_ok) + lattice(t_ok)
+    if t_ok is t and np.minimum.reduce(c_total) >= 1e-14:
+        return cov / (t * c_total)   # T/(c_B+c_l) * cov/T^2
+    bad = (c_total < 1e-14) | ~(t > 0)
+    _fail_lanes(failed, lanes, bad, t, f"b = {lam:g}",
+                lambda j: ZeroTotalHeatError(
+                    f"c_B + c_l = {c_total[j]:.3e} at b = {lam:g}, T = {t[j]:g} K"))
+    return cov / (t * np.where(bad, np.nan, c_total))
+
+
+def adiabatic_temperature_change_lanes(
+        model: ParamHamiltonian, lambda_i: float, lambda_f: float, temperatures,
+        lattice: Optional[LatticeHeatSpec] = None) -> list:
+    """``adiabatic_temperature_change`` from each of ``temperatures``, or
+    with a ``lattice`` ``classical_adiabatic_temperature_change``,
+    integrated as the lanes of one RK4 adiabat.
+
+    The lanes share the lambda nodes and one spectral cache, so each node
+    is diagonalized once for all start temperatures. Each lane stops at its
+    own refinement level and equals the single-temperature call bit for
+    bit, path included. Returns one entry per temperature: its
+    CaloricResult, or the QCaloricError its single call raises.
+    """
+    temps, slots, live = _open_lanes(temperatures, "T_start", lambda_i, lambda_f)
+    if lattice is not None and model.parameter_name != "b":
+        done = dict.fromkeys(live.tolist(), NoZeemanTermError(
+            "classical adiabat needs the field as working parameter"))
+    elif lambda_i == lambda_f:
+        done = {j: (temps[j], 0.0, 0, ((lambda_i, float(temps[j])),))
+                for j in live.tolist()}
+    else:
+        cache = _SpectralCache(model)
+        slopes = (functools.partial(_isentrope_slopes, cache) if lattice is None
+                  else functools.partial(_classical_slopes, cache, lattice))
+        done = _rk4_lanes(slopes, lambda_i, lambda_f, temps, live)
+    for j, got in done.items():
+        slots[j] = got if isinstance(got, QCaloricError) else CaloricResult(
+            "temperature_change", float(got[0] - temps[j]), lambda_i, lambda_f,
+            float(temps[j]), "ode", got[1], got[2], path=got[3])
+    return slots
 
 
 def adiabatic_temperature_change(model: ParamHamiltonian, lambda_i: float,
@@ -283,25 +490,13 @@ def adiabatic_temperature_change(model: ParamHamiltonian, lambda_i: float,
     Raises
     ------
     NonPositiveTemperatureError
+    NonFiniteParameterError
     DegenerateVarianceError
         var[H] below 1e-14 * (E_max - E_min)^2 anywhere along the path.
     OdeNoConvergenceError
     """
-    _require_temperature(T_start, "T_start")
-    if lambda_i == lambda_f:
-        return CaloricResult("temperature_change", 0.0, lambda_i, lambda_f,
-                             T_start, "ode", 0.0, 0,
-                             path=((lambda_i, T_start),))
-    cache = _SpectralCache(model)
-    _isentrope_rhs(cache, lambda_i, T_start)   # reject degenerate start early
-
-    def rhs(lam, t):
-        return _isentrope_rhs(cache, lam, t)
-
-    t_end, err, levels, nodes = _rk4_adiabat(rhs, lambda_i, lambda_f, T_start)
-    return CaloricResult("temperature_change", t_end - T_start, lambda_i,
-                         lambda_f, T_start, "ode", err, levels,
-                         path=tuple(nodes))
+    return _single(adiabatic_temperature_change_lanes(
+        model, lambda_i, lambda_f, [T_start]))
 
 
 def adiabatic_temperature_change_matching(model: ParamHamiltonian, lambda_i: float,
@@ -318,6 +513,7 @@ def adiabatic_temperature_change_matching(model: ParamHamiltonian, lambda_i: flo
         Target entropy not attained inside the bracket.
     """
     _require_temperature(T_start, "T_start")
+    _require_lambda(lambda_i, lambda_f)
     if lambda_i == lambda_f:
         return CaloricResult("temperature_change", 0.0, lambda_i, lambda_f,
                              T_start, "entropy_matching", 0.0, 0)
@@ -362,26 +558,5 @@ def classical_adiabatic_temperature_change(model: ParamHamiltonian,
     ZeroTotalHeatError
         c_B + c_l below 1e-14 somewhere on the path.
     """
-    _require_temperature(T_start, "T_start")
-    if model.parameter_name != "b":
-        raise NoZeemanTermError(
-            "classical adiabat needs the field as working parameter")
-    if b_i == b_f:
-        return CaloricResult("temperature_change", 0.0, b_i, b_f, T_start,
-                             "ode", 0.0, 0, path=((b_i, T_start),))
-    cache = _SpectralCache(model)
-
-    def rhs(lam, t):
-        if not t > 0:
-            raise NonPositiveTemperatureError(
-                f"temperature left the positive domain at b = {lam:g}")
-        _, var, _, cov = _moments(*cache.at(lam, t))
-        c_total = var / (t * t) + lattice(t)
-        if c_total < 1e-14:
-            raise ZeroTotalHeatError(
-                f"c_B + c_l = {c_total:.3e} at b = {lam:g}, T = {t:g} K")
-        return cov / (t * c_total)   # T/(c_B+c_l) * cov/T^2
-
-    t_end, err, levels, nodes = _rk4_adiabat(rhs, b_i, b_f, T_start)
-    return CaloricResult("temperature_change", t_end - T_start, b_i, b_f,
-                         T_start, "ode", err, levels, path=tuple(nodes))
+    return _single(adiabatic_temperature_change_lanes(
+        model, b_i, b_f, [T_start], lattice))

@@ -14,16 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .caloric import _simpson_doubling
+import numpy as np
+
+from .caloric import _simpson_lanes
 from .errors import (
     AnisotropicStateError,
     NegativeSusceptibilityError,
+    QCaloricError,
     SignCrossingError,
 )
 from .linalg import eigenbasis_diagonal, hermitian_eigen, kron, spin_half_operators
 from .models import build_dimer
-from .thermal import (_moments, _require_temperature, populations_from_levels,
-                      thermal_average, thermal_state)
+from .thermal import (_moments, _require_lambda, _require_temperature,
+                      populations_from_levels, thermal_average, thermal_state)
 
 _ISOTROPY_TOL = 1e-8
 
@@ -144,15 +147,19 @@ def entropy_change_from_discord(J_i: float, J_f: float, T: float) -> float:
     SignCrossingError
         J_i and J_f not strictly of the same sign.
     NonPositiveTemperatureError
+    NonFiniteParameterError
     """
     _require_temperature(T)
+    _require_lambda(J_i, J_f)
     if J_i == J_f:
         return 0.0
     if J_i * J_f <= 0:
         raise SignCrossingError(
             f"sweep [{J_i:g}, {J_f:g}] straddles J = 0 where |c| is "
             "non-differentiable")
-    value, _, _ = _simpson_doubling(
-        lambda j: discord_temperature_derivative(j, T), J_i, J_f,
-        "discord-integral entropy change")
-    return abs(6.0 * value)
+    got = _simpson_lanes(
+        lambda j, lanes: np.array([discord_temperature_derivative(j, T)]),
+        J_i, J_f, np.zeros(1, dtype=int), "discord-integral entropy change")[0]
+    if isinstance(got, QCaloricError):
+        raise got
+    return abs(6.0 * got[0])

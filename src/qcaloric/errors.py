@@ -44,6 +44,10 @@ class NonPositiveTemperatureError(QCaloricError):
     """Temperature must be finite and strictly positive."""
 
 
+class NonFiniteParameterError(QCaloricError):
+    """The working parameter lambda must be finite (not NaN or +-inf)."""
+
+
 class DimensionMismatchError(QCaloricError):
     """Operator dimension does not match the state's Hilbert space."""
 

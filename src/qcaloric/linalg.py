@@ -157,4 +157,4 @@ def eigenbasis_diagonal(operator, basis: np.ndarray) -> np.ndarray:
     if m.shape[0] != basis.shape[0]:
         raise ValueError(
             f"operator dim {m.shape[0]} does not match basis dim {basis.shape[0]}")
-    return np.real(np.einsum("in,ij,jn->n", basis.conj(), m, basis))
+    return np.real(np.sum(basis.conj() * (m @ basis), axis=0))

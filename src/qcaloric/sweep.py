@@ -1,10 +1,20 @@
 """Sweep orchestration: evaluate the requested computations over the
 scenario's (lambda, T) grids and gather curves.
 
-Grid points are computed concurrently up to QCAL_THREADS workers (default:
-processor count); results are gathered in grid order, so output is
-deterministic regardless of the degree of parallelism. A failing grid point
-aborts the whole run -- partial curves are never emitted.
+The endpoint computations (entropy, adiabatic, classical_adiabatic) run
+their temperatures as lanes of one integration: the lanes share the lambda
+nodes and one spectral cache, so each node is diagonalized once per chunk
+of temperatures, not once per temperature. Each lane keeps its own
+convergence level, and every point equals the single-temperature public
+call bit for bit.
+
+Work is spread over up to QCAL_THREADS workers (default: processor count):
+the temperature grid is split into that many chunks for the endpoint
+computations, and grid points are mapped one by one for the others.
+Results are gathered in grid order, so output is deterministic regardless
+of the degree of parallelism. A failing grid point aborts the whole run --
+partial curves are never emitted; its error names the failing temperature,
+the lowest one when several fail.
 """
 
 from __future__ import annotations
@@ -13,12 +23,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .caloric import (
     LatticeHeatSpec,
-    adiabatic_temperature_change,
-    classical_adiabatic_temperature_change,
+    adiabatic_temperature_change_lanes,
     generalized_force,
-    isothermal_entropy_change,
+    isothermal_entropy_change_lanes,
 )
 from .curves import Curve, CurveSet
 from .discord import pair_correlation
@@ -47,14 +58,32 @@ def _parallel_map(fn, items: Sequence):
         return list(pool.map(fn, items))
 
 
+def _failure(comp, axis, x, lam_desc, exc):
+    return ComputationError(f"{comp} failed at {axis} = {x:g} K, {lam_desc}: {exc}")
+
+
 def _wrap(fn, comp, lam_desc, axis="T"):
     def evaluated(x):
         try:
             return fn(x)
         except QCaloricError as exc:
-            raise ComputationError(
-                f"{comp} failed at {axis} = {x:g} K, {lam_desc}: {exc}") from exc
+            raise _failure(comp, axis, x, lam_desc, exc) from exc
     return evaluated
+
+
+def _lane_map(lanes_fn, comp, lam_desc, temps):
+    """``lanes_fn`` over chunks of ``temps``, one chunk per worker, flattened
+    in grid order.
+
+    ``lanes_fn`` returns one result or QCaloricError per temperature; the
+    lowest failing temperature aborts the sweep.
+    """
+    chunks = [c for c in np.array_split(temps, thread_count()) if c.size]
+    results = [r for chunk in _parallel_map(lanes_fn, chunks) for r in chunk]
+    for t, r in zip(temps, results):
+        if isinstance(r, QCaloricError):
+            raise _failure(comp, "T", t, lam_desc, r) from r
+    return results
 
 
 def run_sweep(scenario: Scenario, *,
@@ -82,25 +111,25 @@ def run_sweep(scenario: Scenario, *,
     if sweep_labels is None:
         sweep_labels = [f"J={lam:g}" for lam in lams]
 
-    # endpoint computations: curve name, value unit and the call at one T;
-    # the lambdas resolve their callee when called, not when built
+    # endpoint computations: curve name, value unit and the lane route over
+    # a chunk of temperatures; the lambdas resolve their callee when called,
+    # not when built
     lattice = scenario.lattice or LatticeHeatSpec()
     endpoint = {
         "entropy": ("entropy_change", "kB",
-                    lambda t: isothermal_entropy_change(model, lam_i, lam_f, t)),
+                    lambda ts: isothermal_entropy_change_lanes(model, lam_i, lam_f, ts)),
         "adiabatic": ("adiabatic_temperature_change", "K",
-                      lambda t: adiabatic_temperature_change(model, lam_i, lam_f, t)),
+                      lambda ts: adiabatic_temperature_change_lanes(model, lam_i, lam_f, ts)),
         "classical_adiabatic": (
             "classical_adiabatic_temperature_change", "K",
-            lambda t: classical_adiabatic_temperature_change(
-                model, lattice, lam_i, lam_f, t)),
+            lambda ts: adiabatic_temperature_change_lanes(model, lam_i, lam_f, ts, lattice)),
     }
 
     curves = []
     for comp in scenario.computations:
         if comp in endpoint:
             name, unit, fn = endpoint[comp]
-            results = _parallel_map(_wrap(fn, comp, lam_desc), temps)
+            results = _lane_map(fn, comp, lam_desc, temps)
             curves.append(Curve(
                 name=name, abscissa_unit="K", value_unit=unit,
                 points=tuple((t, r.value, r.error_estimate)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyPathError,
+    NonFiniteParameterError,
     NonPositiveTemperatureError,
     NoZeemanTermError,
 )
@@ -96,6 +97,13 @@ def _require_temperature(temperature: float, name: str = "T") -> None:
     if not 0 < temperature < math.inf:
         raise NonPositiveTemperatureError(
             f"{name} = {temperature:g} K must be finite and > 0")
+
+
+def _require_lambda(*values: float) -> None:
+    """Raise NonFiniteParameterError unless every lambda is finite."""
+    for lam in values:
+        if not math.isfinite(lam):
+            raise NonFiniteParameterError(f"lambda = {lam:g} must be finite")
 
 
 def populations_from_levels(levels: np.ndarray, temperature: float):

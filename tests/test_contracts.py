@@ -1,27 +1,33 @@
-"""Cross-module contracts: the temperature guard at every public entry point
-and the eigensolve budget of each route on a reference case."""
+"""Cross-module contracts: the temperature and lambda guards at every public
+entry point and the eigensolve budget of each route on a reference case."""
 
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from qcaloric.caloric import (
+    CaloricResult,
     LatticeHeatSpec,
     adiabatic_temperature_change,
+    adiabatic_temperature_change_lanes,
     adiabatic_temperature_change_matching,
     classical_adiabatic_temperature_change,
     generalized_force,
     isothermal_entropy_change,
     isothermal_entropy_change_direct,
+    isothermal_entropy_change_lanes,
     maxwell_residual,
 )
 from qcaloric.discord import discord_from_susceptibility, entropy_change_from_discord
-from qcaloric.errors import NonPositiveTemperatureError
+from qcaloric.errors import NonFiniteParameterError, NonPositiveTemperatureError
 from qcaloric.models import build_dimer, build_single_spin_zeeman
 from qcaloric.thermal import process_decompose
 
 INF = math.inf
+NAN = math.nan
 
 
 @pytest.mark.parametrize("call", [
@@ -43,9 +49,10 @@ def test_infinite_temperature_rejected_before_any_early_return(call):
         call()
 
 
-def counting_model():
-    """The reference dimer with its ``evaluate`` calls, hence eigensolves, counted."""
-    model = build_dimer(J=1.0, b=0.3, parameter="J")
+def counting_model(model=None):
+    """A model (default: the reference dimer) with its ``evaluate`` calls,
+    hence eigensolves, counted."""
+    model = model or build_dimer(J=1.0, b=0.3, parameter="J")
     calls = []
 
     def counting(lam):
@@ -70,3 +77,52 @@ def test_eigensolve_budget(route, budget):
     model, calls = counting_model()
     route(model)
     assert len(calls) == budget
+
+
+@pytest.mark.parametrize("kernel, budget", [
+    (isothermal_entropy_change_lanes, 257),
+    (adiabatic_temperature_change_lanes, 513),
+], ids=["quadrature_lanes", "ode_lanes"])
+def test_lane_kernel_eigensolve_budget(kernel, budget):
+    # 25 temperatures share the lambda nodes: the deepest lane sets the count
+    model, calls = counting_model()
+    results = kernel(model, 0.5, 1.5, np.linspace(0.25, 5.0, 25))
+    assert all(isinstance(r, CaloricResult) for r in results)
+    assert len(calls) == budget
+
+
+ZEEMAN = build_single_spin_zeeman(1.0)
+
+
+@pytest.mark.parametrize("model, call", [
+    (None, lambda m: isothermal_entropy_change(m, NAN, 1.5, 1.0)),
+    (None, lambda m: isothermal_entropy_change(m, 0.5, INF, 1.0)),
+    (None, lambda m: isothermal_entropy_change_direct(m, 0.5, NAN, 1.0)),
+    (None, lambda m: adiabatic_temperature_change(m, 0.5, INF, 1.0)),
+    (None, lambda m: adiabatic_temperature_change(m, -INF, 1.5, 1.0)),
+    (None, lambda m: adiabatic_temperature_change_matching(m, NAN, 1.5, 1.0)),
+    (ZEEMAN, lambda m: classical_adiabatic_temperature_change(
+        m, LatticeHeatSpec(), 0.5, NAN, 1.0)),
+    (None, lambda m: generalized_force(m, NAN, 1.0)),
+    (None, lambda m: maxwell_residual(m, INF, 1.0)),
+    (None, lambda m: entropy_change_from_discord(0.5, NAN, 1.0)),
+    (None, lambda m: isothermal_entropy_change(m, INF, INF, 1.0)),
+], ids=["dS_quadrature_nan", "dS_quadrature_inf", "dS_direct_nan", "dT_ode_inf",
+        "dT_ode_minus_inf", "dT_matching_nan", "dT_classical_nan", "force_nan",
+        "maxwell_inf", "discord_entropy_nan", "dS_quadrature_inf_zero_length"])
+def test_non_finite_lambda_rejected_before_any_eigensolve(model, call):
+    model, calls = counting_model(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteParameterError, match="nan|inf"):
+            call(model)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kernel", [isothermal_entropy_change_lanes,
+                                    adiabatic_temperature_change_lanes])
+def test_lane_kernels_reject_non_finite_lambda_in_every_lane(kernel):
+    model, calls = counting_model()
+    results = kernel(model, 0.5, NAN, [0.5, 1.0, 2.0])
+    assert all(isinstance(r, NonFiniteParameterError) for r in results)
+    assert calls == []

@@ -1,0 +1,153 @@
+"""Temperature lanes: a sweep's endpoint computations run all temperatures
+as lanes of one integration, and each lane must reproduce its single-T
+public call exactly, whatever the grouping of lanes into chunks."""
+
+import json
+
+import numpy as np
+import pytest
+
+from qcaloric.caloric import (
+    LatticeHeatSpec,
+    _rk4_lanes,
+    adiabatic_temperature_change,
+    adiabatic_temperature_change_lanes,
+    classical_adiabatic_temperature_change,
+    isothermal_entropy_change,
+    isothermal_entropy_change_lanes,
+)
+from qcaloric.errors import ComputationError, DegenerateVarianceError
+from qcaloric.models import build_dimer, build_single_spin_zeeman
+from qcaloric.scenario import parse_scenario
+from qcaloric.sweep import run_sweep
+
+DIMER = {"kind": "dimer", "J": 0.5037, "b": 0.3}
+J_I, J_F = 0.5037, 1.4963
+LATTICE = LatticeHeatSpec(a0=0.1, a1=0.2, a3=0.05)
+B_I, B_F = 0.5, 2.0
+
+
+def scenario(model, parameter, lam_i, lam_f, temps, computations, lattice=None):
+    doc = {"model": model, "parameter": parameter,
+           "sweep": {"from": lam_i, "to": lam_f, "points": 2},
+           "temperatures": temps, "computations": computations,
+           "output": {"csv": "out.csv"}}
+    if lattice is not None:
+        doc["lattice"] = {"a0": lattice.a0, "a1": lattice.a1, "a3": lattice.a3}
+    return parse_scenario(json.dumps(doc))
+
+
+DIMER_TEMPS = {"from": 0.25, "to": 5.0, "points": 9}
+SPIN_TEMPS = {"from": 0.3, "to": 3.0, "points": 7}
+DIMER_T = np.linspace(0.25, 5.0, 9)    # the grids' values
+SPIN_T = np.linspace(0.3, 3.0, 7)
+
+
+def single_calls():
+    """Per-temperature public calls: curve name -> [CaloricResult per T]."""
+    dimer = build_dimer(J=J_I, b=0.3, parameter="J")
+    spin = build_single_spin_zeeman(1.0)
+    return {
+        "entropy_change": [isothermal_entropy_change(dimer, J_I, J_F, t)
+                           for t in DIMER_T],
+        "adiabatic_temperature_change": [adiabatic_temperature_change(dimer, J_I, J_F, t)
+                                         for t in DIMER_T],
+        "classical_adiabatic_temperature_change": [
+            classical_adiabatic_temperature_change(spin, LATTICE, B_I, B_F, t)
+            for t in SPIN_T],
+    }
+
+
+@pytest.fixture(scope="module")
+def singles():
+    return single_calls()
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_sweep_points_equal_single_temperature_calls_bitwise(threads, singles, monkeypatch):
+    monkeypatch.setenv("QCAL_THREADS", threads)
+    curves = list(run_sweep(scenario(DIMER, "J", J_I, J_F, DIMER_TEMPS,
+                                     ["entropy", "adiabatic"])))
+    curves += list(run_sweep(scenario({"kind": "single_spin", "b": 1.0}, "b", B_I, B_F,
+                                      SPIN_TEMPS, ["classical_adiabatic"], LATTICE)))
+    assert [c.name for c in curves] == list(singles)
+    for curve in curves:
+        expected = tuple((r.T_start, r.value, r.error_estimate) for r in singles[curve.name])
+        assert curve.points == expected, curve.name
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+def test_lane_kernels_equal_single_temperature_calls_in_any_grouping(chunks, singles):
+    # value, error_estimate, refinement_levels and the adiabat's path
+    dimer = build_dimer(J=J_I, b=0.3, parameter="J")
+    spin = build_single_spin_zeeman(1.0)
+    kernels = {
+        "entropy_change": (
+            lambda ts: isothermal_entropy_change_lanes(dimer, J_I, J_F, ts), DIMER_T),
+        "adiabatic_temperature_change": (
+            lambda ts: adiabatic_temperature_change_lanes(dimer, J_I, J_F, ts), DIMER_T),
+        "classical_adiabatic_temperature_change": (
+            lambda ts: adiabatic_temperature_change_lanes(spin, B_I, B_F, ts, LATTICE),
+            SPIN_T),
+    }
+    for name, (kernel, temps) in kernels.items():
+        lanes = [r for chunk in np.array_split(temps, chunks) for r in kernel(chunk)]
+        assert lanes == singles[name], name
+
+
+FAILING = {"from": 0.05, "to": 1.0, "points": 7}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_sweep_error_names_the_failing_temperature(threads, monkeypatch):
+    monkeypatch.setenv("QCAL_THREADS", threads)
+    with pytest.raises(ComputationError) as err:
+        run_sweep(scenario(DIMER, "J", J_I, J_F, FAILING, ["adiabatic"]))
+    assert str(err.value) == (
+        "adiabatic failed at T = 0.05 K, sweep 0.5037 -> 1.4963: var[H] = 3.553e-15 "
+        "at lambda = 0.5037, T = 0.05 K (flat spectrum or effectively infinite temperature)")
+    assert isinstance(err.value.__cause__, DegenerateVarianceError)
+
+
+def test_sweep_error_names_the_lowest_failing_temperature(monkeypatch):
+    # all three lanes fail; with 2 workers they sit in two chunks
+    monkeypatch.setenv("QCAL_THREADS", "2")
+    with pytest.raises(ComputationError) as err:
+        run_sweep(scenario(DIMER, "J", J_I, J_F, {"from": 0.03, "to": 0.05, "points": 3},
+                           ["adiabatic"]))
+    assert str(err.value) == (
+        "adiabatic failed at T = 0.03 K, sweep 0.5037 -> 1.4963: var[H] = 0.000e+00 "
+        "at lambda = 0.5037, T = 0.03 K (flat spectrum or effectively infinite temperature)")
+
+
+def test_failing_lanes_carry_their_single_temperature_errors():
+    dimer = build_dimer(J=J_I, b=0.3, parameter="J")
+    temps = [0.05, 0.04, 0.5, 0.03]
+    lanes = adiabatic_temperature_change_lanes(dimer, J_I, J_F, temps)
+    assert lanes[2] == adiabatic_temperature_change(dimer, J_I, J_F, 0.5)
+    for t, lane in zip(temps, lanes):
+        if t != 0.5:
+            with pytest.raises(DegenerateVarianceError) as err:
+                adiabatic_temperature_change(dimer, J_I, J_F, t)
+            assert type(lane) is DegenerateVarianceError and str(lane) == str(err.value)
+
+
+def decay_slopes(fail_lane, fail_from):
+    """dT/dlambda = -T; ``fail_lane`` fails once lambda passes ``fail_from``."""
+    def slopes(lam, t, lanes, failed):
+        out = -t
+        if lam > fail_from and fail_lane in lanes:
+            failed.setdefault(fail_lane, DegenerateVarianceError(f"lane {fail_lane}"))
+            out[list(lanes).index(fail_lane)] = np.nan
+        return out
+    return slopes
+
+
+def test_a_lane_failing_mid_path_leaves_the_others_untouched():
+    starts = np.array([1.0, 2.0, 3.0])
+    mixed = _rk4_lanes(decay_slopes(1, 0.5), 0.0, 1.0, starts, np.arange(3))
+    alone = _rk4_lanes(decay_slopes(1, 0.5), 0.0, 1.0, starts, np.array([0, 2]))
+    assert str(mixed[1]) == "lane 1"
+    assert mixed[0] == alone[0] and mixed[2] == alone[2]
+    for lane in (0, 2):
+        assert mixed[lane][0] == pytest.approx(starts[lane] * np.exp(-1.0), rel=1e-9)

@@ -185,6 +185,13 @@ class TestEigenbasisDiagonal:
         diag = eigenbasis_diagonal(h, dec.vectors)
         assert np.allclose(diag, dec.values, atol=1e-12)
 
+    def test_dim64_matches_explicit_expectation_loop(self):
+        rng = np.random.default_rng(65)
+        basis = hermitian_eigen(random_hermitian(rng, 64)).vectors
+        a = random_hermitian(rng, 64)
+        expected = [np.vdot(basis[:, n], a @ basis[:, n]).real for n in range(64)]
+        assert np.max(np.abs(eigenbasis_diagonal(a, basis) - expected)) <= 1e-12
+
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             eigenbasis_diagonal(np.eye(3), np.eye(2, dtype=complex))
