@@ -47,8 +47,8 @@ from .errors import (
 )
 from .linalg import eigenbasis_diagonal, hermitian_eigen
 from .models import ParamHamiltonian
-from .thermal import (_POPULATION_FLOOR, _require_lambda, _require_temperature,
-                      entropy_from_populations, populations_from_levels)
+from .thermal import (_boltzmann, _moments, _require_lambda, _require_temperature,
+                      _spectral_rows, entropy_from_populations, populations_from_levels)
 
 _QUAD_TOL = 1e-8          # successive-estimate tolerance, absolute and relative
 _QUAD_MAX_DOUBLINGS = 16
@@ -83,8 +83,8 @@ class CaloricResult:
 class LatticeHeatSpec:
     """Power-law lattice specific heat c_l(T) = a0 + a1*T + a3*T^3, k_B units.
 
-    All coefficients must be non-negative, which keeps c_l >= 0 on any
-    positive temperature range.
+    All coefficients must be finite and non-negative, which keeps c_l >= 0
+    and finite on any positive temperature range.
     """
 
     a0: float = 0.0
@@ -93,23 +93,19 @@ class LatticeHeatSpec:
 
     def __post_init__(self):
         for name in ("a0", "a1", "a3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"LatticeHeatSpec.{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"LatticeHeatSpec.{name} must be finite and >= 0")
 
     def __call__(self, temperature: float) -> float:
         return self.a0 + self.a1 * temperature + self.a3 * temperature ** 3
 
 
 class _SpectralCache:
-    """Eigen-data of one model, memoized per lambda.
-
-    Quadrature and adiabat nodes recur across refinement levels and across
-    temperature lanes, so each lambda is diagonalized once. Its data is kept
-    as one packed array whose rows are the levels E, the dH/dlambda diagonal
-    D, E^2, D*E and E_0 - E. ``at`` is the lookup at one T: it adds the
-    populations, which are cheap and recomputed per call; ``entropy`` and
-    ``force`` are views of it. ``lanes`` is the lookup for an array of T.
-    """
+    """Eigen-data of one model as ``thermal._spectral_rows``, memoized per lambda:
+    refinement levels and temperature lanes revisit a node, which is
+    diagonalized once. ``lanes`` reads thermal's population and moment
+    formulas at an array of T; ``force`` is its one-lane view, and ``entropy``
+    the one-lane view of ``populations_from_levels``."""
 
     def __init__(self, model: ParamHamiltonian):
         self.model = model
@@ -120,40 +116,21 @@ class _SpectralCache:
         got = self._data.get(lam)
         if got is None:
             spectrum = hermitian_eigen(self.model.evaluate(lam))
-            levels = spectrum.values
-            d_diag = eigenbasis_diagonal(
-                self.model.derivative(lam), spectrum.vectors)
-            got = np.array((levels, d_diag, levels ** 2, d_diag * levels,
-                            levels[0] - levels))
+            got = _spectral_rows(spectrum.values, eigenbasis_diagonal(
+                self.model.derivative(lam), spectrum.vectors))
             self._data[lam] = got
         return got
 
-    def at(self, lam: float, temperature: float):
-        """(populations, levels, dH/dlambda diagonal), as ``_moments`` takes them."""
-        levels, d_diag = self.rows(lam)[:2]
-        return populations_from_levels(levels, temperature)[0], levels, d_diag
-
     def lanes(self, lam: float, temps: np.ndarray):
-        """(var[H], Cov(dH/dlambda, H)) at lam, one entry per temperature.
-
-        The populations and raw moments of ``populations_from_levels`` and
-        ``_moments``, one row per lane. Sums run along each lane's own row,
-        so a lane's bits do not depend on the lanes evaluated with it.
-        """
+        """(<E>, <dH/dlambda>, var[H], Cov(dH/dlambda, H)) at lam, one entry per T."""
         rows = self.rows(lam)
-        weights = np.exp(rows[4] / temps[:, None])
-        p = weights / np.add.reduce(weights, 1, keepdims=True)
-        p[p < _POPULATION_FLOOR] = 0.0
-        means = np.add.reduce(p[:, None, :] * rows[:4], 2)   # <E>, <D>, <E^2>, <DE>
-        central = means[:, 2:] - means[:, :2] * means[:, :1]
-        return np.maximum(central[:, 0], 0.0), central[:, 1]
+        return _moments(_boltzmann(rows[4], temps[:, None])[0], rows)
 
     def entropy(self, lam: float, temperature: float) -> float:
-        return entropy_from_populations(self.at(lam, temperature)[0])
+        return entropy_from_populations(populations_from_levels(self.rows(lam)[0], temperature)[0])
 
     def force(self, lam: float, temperature: float) -> float:
-        p, _, d_diag = self.at(lam, temperature)
-        return -float(np.dot(p, d_diag))
+        return -float(self.lanes(lam, np.array([temperature]))[1][0])
 
 
 def _open_lanes(temperatures, name: str, *lambdas: float):
@@ -279,7 +256,7 @@ def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
         t_sq = temps * temps
 
         def integrand(lam, lanes):
-            return -cache.lanes(lam, temps[lanes])[1] / t_sq[lanes]
+            return -cache.lanes(lam, temps[lanes])[3] / t_sq[lanes]
 
         done = _simpson_lanes(integrand, lambda_i, lambda_f, live,
                               "isothermal entropy change")
@@ -313,11 +290,9 @@ def isothermal_entropy_change_direct(model: ParamHamiltonian, lambda_i: float,
     """Oracle route: dS = S(lambda_f, T) - S(lambda_i, T) as a state function."""
     _require_temperature(temperature)
     _require_lambda(lambda_i, lambda_f)
-    if lambda_i == lambda_f:
-        return CaloricResult("entropy_change", 0.0, lambda_i, lambda_f,
-                             temperature, "direct", 0.0, 0)
     cache = _SpectralCache(model)
-    value = cache.entropy(lambda_f, temperature) - cache.entropy(lambda_i, temperature)
+    value = 0.0 if lambda_i == lambda_f else (
+        cache.entropy(lambda_f, temperature) - cache.entropy(lambda_i, temperature))
     return CaloricResult("entropy_change", value, lambda_i, lambda_f,
                          temperature, "direct", 0.0, 0)
 
@@ -352,7 +327,7 @@ def _isentrope_slopes(cache: _SpectralCache, lam: float, t: np.ndarray,
     spread = float(levels[-1] - levels[0])
     floor = _VARIANCE_FLOOR_REL * spread * spread if spread else math.inf
     t_ok = _positive_or_one(t)
-    var, cov = cache.lanes(lam, t_ok)
+    _, _, var, cov = cache.lanes(lam, t_ok)
     if t_ok is t and np.minimum.reduce(var) >= floor:
         return t * cov / var
     bad = (var < floor) | ~(t > 0)
@@ -436,7 +411,7 @@ def _classical_slopes(cache: _SpectralCache, lattice: LatticeHeatSpec, lam: floa
     Lanes fail as in ``_isentrope_slopes``.
     """
     t_ok = _positive_or_one(t)
-    var, cov = cache.lanes(lam, t_ok)
+    _, _, var, cov = cache.lanes(lam, t_ok)
     c_total = var / (t_ok * t_ok) + lattice(t_ok)
     if t_ok is t and np.minimum.reduce(c_total) >= 1e-14:
         return cov / (t * c_total)   # T/(c_B+c_l) * cov/T^2

@@ -79,6 +79,9 @@ def _run_ingest(args) -> int:
 def _run_discord(args) -> int:
     if args.points < 1:
         raise ValidationError("--points", "must be >= 1")
+    for flag, value in (("--J", args.J), ("--T-from", args.t_from), ("--T-to", args.t_to)):
+        if not np.isfinite(value):
+            raise ValidationError(flag, "must be finite")
     if args.t_from <= 0 or args.t_to <= 0:
         raise ValidationError("--T-from/--T-to", "must be > 0")
     temps = np.linspace(args.t_from, args.t_to, args.points)

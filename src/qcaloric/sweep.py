@@ -6,11 +6,11 @@ their temperatures as lanes of one integration: the lanes share the lambda
 nodes and one spectral cache, so each node is diagonalized once per chunk
 of temperatures, not once per temperature. Each lane keeps its own
 convergence level, and every point equals the single-temperature public
-call bit for bit.
+call bit for bit; the force computation takes them as lanes of each lambda.
 
 Work is spread over up to QCAL_THREADS workers (default: processor count):
 the temperature grid is split into that many chunks for the endpoint
-computations, and grid points are mapped one by one for the others.
+computations, and grid points are mapped one by one for discord and decompose.
 Results are gathered in grid order, so output is deterministic regardless
 of the degree of parallelism. A failing grid point aborts the whole run --
 partial curves are never emitted; its error names the failing temperature,
@@ -27,15 +27,15 @@ import numpy as np
 
 from .caloric import (
     LatticeHeatSpec,
+    _SpectralCache,
     adiabatic_temperature_change_lanes,
-    generalized_force,
     isothermal_entropy_change_lanes,
 )
 from .curves import Curve, CurveSet
 from .discord import pair_correlation
 from .errors import ComputationError, QCaloricError
 from .scenario import Scenario, build_model
-from .thermal import process_decompose
+from .thermal import _require_lambda, _require_temperature, process_decompose
 
 
 def thread_count() -> int:
@@ -84,6 +84,20 @@ def _lane_map(lanes_fn, comp, lam_desc, temps):
         if isinstance(r, QCaloricError):
             raise _failure(comp, "T", t, lam_desc, r) from r
     return results
+
+
+def _force_table(model, lams, temps) -> np.ndarray:
+    """-<dH/dlambda> per (lambda, T), each lambda diagonalized once with every T
+    as a lane; each entry equals ``generalized_force`` bit for bit."""
+    for t in temps:
+        _wrap(lambda _: _require_temperature(t), "force", f"T = {t:g} K", "lambda")(lams[0])
+    cache, lanes = _SpectralCache(model), np.array(temps, dtype=float)
+
+    def row(lam):
+        _require_lambda(lam)
+        return -cache.lanes(lam, lanes)[1]
+
+    return np.array([_wrap(row, "force", f"T = {temps[0]:g} K", "lambda")(lam) for lam in lams])
 
 
 def run_sweep(scenario: Scenario, *,
@@ -145,15 +159,10 @@ def run_sweep(scenario: Scenario, *,
                     points=tuple((t, rec.discord, 0.0)
                                  for t, rec in zip(temps, records))))
         elif comp == "force":
-            for t in temps:
-                values = _parallel_map(_wrap(
-                    lambda lam, tt=t: generalized_force(model, lam, tt),
-                    comp, f"T = {t:g} K", axis="lambda"), lams)
+            for t, values in zip(temps, _force_table(model, lams, temps).T.tolist()):
                 curves.append(Curve(
-                    name=f"force_T={t:g}", abscissa_unit="K",
-                    value_unit="K_per_lambda",
-                    points=tuple((lam, y, 0.0)
-                                 for lam, y in zip(lams, values))))
+                    name=f"force_T={t:g}", abscissa_unit="K", value_unit="K_per_lambda",
+                    points=tuple((lam, y, 0.0) for lam, y in zip(lams, values))))
         elif comp == "decompose":
             results = _parallel_map(_wrap(
                 lambda t: process_decompose(model, [(lam_i, t), (lam_f, t)]),

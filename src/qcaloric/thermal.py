@@ -7,7 +7,9 @@ kelvin, entropy and specific heat in k_B units.
 
 Temperature derivatives are available analytically through diagonal
 covariances, d<A>/dT = Cov(A, H) / T^2, which holds for any observable
-evaluated through its energy-basis diagonal in a canonical state.
+evaluated through its energy-basis diagonal in a canonical state. Every
+route reads the one population formula (``_boltzmann``) and the one moment
+formula (``_moments``: <E>, <A>, var[H], Cov(A, H)), over temperature lanes.
 """
 
 from __future__ import annotations
@@ -106,20 +108,22 @@ def _require_lambda(*values: float) -> None:
             raise NonFiniteParameterError(f"lambda = {lam:g} must be finite")
 
 
-def populations_from_levels(levels: np.ndarray, temperature: float):
-    """Boltzmann weights and ln Z from a level list, max-shifted.
-
-    Returns
-    -------
-    (populations, log_partition)
-    """
-    _require_temperature(temperature)
-    e_min = float(np.min(levels))
-    weights = np.exp(-(levels - e_min) / temperature)
-    z0 = float(np.sum(weights))
+def _boltzmann(shifts: np.ndarray, temperatures):
+    """Populations exp(shift / T) / Z0 and Z0 for shifts E_min - E <= 0 and one T
+    or a column of them; each lane is summed along its own row."""
+    weights = np.exp(shifts / temperatures)
+    z0 = np.add.reduce(weights, -1, keepdims=True)
     populations = weights / z0
     populations[populations < _POPULATION_FLOOR] = 0.0
-    return populations, float(np.log(z0) - e_min / temperature)
+    return populations, z0
+
+
+def populations_from_levels(levels: np.ndarray, temperature: float):
+    """(populations, ln Z): Boltzmann weights of a level list, max-shifted."""
+    _require_temperature(temperature)
+    e_min = float(np.min(levels))
+    populations, z0 = _boltzmann(e_min - levels, temperature)
+    return populations, float(np.log(z0[0]) - e_min / temperature)
 
 
 def thermal_state(model: ParamHamiltonian, lam: float, temperature: float) -> ThermalState:
@@ -129,7 +133,9 @@ def thermal_state(model: ParamHamiltonian, lam: float, temperature: float) -> Th
     ------
     NonPositiveTemperatureError
         If T is not finite and > 0.
+    NonFiniteParameterError
     """
+    _require_lambda(lam)
     spectrum = hermitian_eigen(model.evaluate(lam))
     populations, log_z = populations_from_levels(spectrum.values, temperature)
     return ThermalState(
@@ -148,16 +154,17 @@ def entropy_from_populations(populations: np.ndarray) -> float:
     return max(float(-np.sum(p * np.log(p))), 0.0)
 
 
-def _moments(p: np.ndarray, levels: np.ndarray, diag: np.ndarray):
-    """(U, var[H], <A>, Cov(A, H)) under populations ``p``.
+def _spectral_rows(levels: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """E, an observable's energy-basis diagonal A, E^2, A*E and E_0 - E."""
+    return np.array((levels, diag, levels ** 2, diag * levels, levels[0] - levels))
 
-    ``diag`` is the observable's energy-basis diagonal. Raw moments:
-    var[H] = <H^2> - U^2 (clamped at 0) and Cov(A, H) = <AH> - <A>U.
-    """
-    u = float(np.dot(p, levels))
-    variance = max(float(np.dot(p, levels ** 2)) - u * u, 0.0)
-    mean_a = float(np.dot(p, diag))
-    return u, variance, mean_a, float(np.dot(p, diag * levels)) - mean_a * u
+
+def _moments(p: np.ndarray, rows: np.ndarray):
+    """(<E>, <A>, var[H] = <E^2> - <E>^2 clamped at 0, Cov(A, H) = <AE> - <A><E>)
+    for one lane's populations ``p`` or one row per lane."""
+    means = np.add.reduce(p[..., None, :] * rows[:4], -1)   # <E>, <A>, <E^2>, <AE>
+    central = means[..., 2:] - means[..., :2] * means[..., :1]
+    return means[..., 0], means[..., 1], np.maximum(central[..., 0], 0.0), central[..., 1]
 
 
 def thermo_point(state: ThermalState) -> ThermodynamicPoint:
@@ -169,9 +176,8 @@ def thermo_point(state: ThermalState) -> ThermodynamicPoint:
     """
     p = state.populations
     t = state.temperature
-    d_diag = eigenbasis_diagonal(
-        state.model.derivative(state.lam), state.spectrum.vectors)
-    u, variance, mean_d, _ = _moments(p, state.spectrum.values, d_diag)
+    d_diag = eigenbasis_diagonal(state.model.derivative(state.lam), state.spectrum.vectors)
+    u, mean_d, variance, _ = map(float, _moments(p, _spectral_rows(state.spectrum.values, d_diag)))
     return ThermodynamicPoint(
         temperature=t,
         lam=state.lam,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,12 @@ class TestClassicalAdiabat:
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             LatticeHeatSpec(a0=-1.0)
+
+    @pytest.mark.parametrize("name", ["a0", "a1", "a3"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficients(self, name, value):
+        with pytest.raises(ValueError, match=f"LatticeHeatSpec.{name} must be finite and >= 0"):
+            LatticeHeatSpec(**{name: value})
 
 
 class TestSignStructure:

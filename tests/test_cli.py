@@ -99,6 +99,20 @@ class TestDiscordCommand:
         assert cli_main(["discord", "--J", "1", "--T-from", "1",
                          "--T-to", "1", "--points", "0"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--J", "nan"), ("--J", "inf"), ("--T-from", "nan"), ("--T-from", "inf"),
+        ("--T-to", "inf"), ("--T-to", "nan")])
+    def test_non_finite_numbers_are_usage_errors(self, capsys, flag, value):
+        numbers = {"--J": "1", "--T-from": "1", "--T-to": "2"}
+        numbers[flag] = value
+        argv = ["discord", "--points", "3"]
+        for pair in numbers.items():
+            argv.extend(pair)
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qcaloric: error: {flag}: must be finite\n"
+
 
 class TestIngestCommand:
     def test_table_driven_sweep(self, tmp_path, scenario_file):

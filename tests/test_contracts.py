@@ -2,6 +2,7 @@
 entry point and the eigensolve budget of each route on a reference case."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -21,10 +22,17 @@ from qcaloric.caloric import (
     isothermal_entropy_change_lanes,
     maxwell_residual,
 )
-from qcaloric.discord import discord_from_susceptibility, entropy_change_from_discord
+from qcaloric import discord, sweep
+from qcaloric.discord import (
+    discord_from_susceptibility,
+    discord_temperature_derivative,
+    entropy_change_from_discord,
+    pair_correlation,
+)
 from qcaloric.errors import NonFiniteParameterError, NonPositiveTemperatureError
 from qcaloric.models import build_dimer, build_single_spin_zeeman
-from qcaloric.thermal import process_decompose
+from qcaloric.scenario import parse_scenario
+from qcaloric.thermal import process_decompose, thermal_state
 
 INF = math.inf
 NAN = math.nan
@@ -107,9 +115,13 @@ ZEEMAN = build_single_spin_zeeman(1.0)
     (None, lambda m: maxwell_residual(m, INF, 1.0)),
     (None, lambda m: entropy_change_from_discord(0.5, NAN, 1.0)),
     (None, lambda m: isothermal_entropy_change(m, INF, INF, 1.0)),
+    (None, lambda m: thermal_state(m, NAN, 1.0)),
+    (None, lambda m: pair_correlation(NAN, 1.0)),
+    (None, lambda m: discord_temperature_derivative(NAN, 1.0)),
 ], ids=["dS_quadrature_nan", "dS_quadrature_inf", "dS_direct_nan", "dT_ode_inf",
         "dT_ode_minus_inf", "dT_matching_nan", "dT_classical_nan", "force_nan",
-        "maxwell_inf", "discord_entropy_nan", "dS_quadrature_inf_zero_length"])
+        "maxwell_inf", "discord_entropy_nan", "dS_quadrature_inf_zero_length",
+        "thermal_state_nan", "pair_correlation_nan", "discord_slope_nan"])
 def test_non_finite_lambda_rejected_before_any_eigensolve(model, call):
     model, calls = counting_model(model)
     with warnings.catch_warnings():
@@ -126,3 +138,34 @@ def test_lane_kernels_reject_non_finite_lambda_in_every_lane(kernel):
     results = kernel(model, 0.5, NAN, [0.5, 1.0, 2.0])
     assert all(isinstance(r, NonFiniteParameterError) for r in results)
     assert calls == []
+
+
+def test_force_sweep_diagonalizes_each_lambda_once(monkeypatch):
+    # 5 lambdas x 25 temperatures: every temperature is a lane of one lookup
+    model, calls = counting_model()
+    monkeypatch.setattr(sweep, "build_model", lambda scenario: model)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QCAL_THREADS", threads)
+        calls.clear()
+        sweep.run_sweep(parse_scenario(json.dumps({
+            "model": {"kind": "dimer", "J": 0.5, "b": 0.3}, "parameter": "J",
+            "sweep": {"from": 0.5, "to": 1.5, "points": 5},
+            "temperatures": {"from": 0.25, "to": 5.0, "points": 25},
+            "computations": ["force"], "output": {"csv": "out.csv"}})))
+        assert calls == [0.5, 0.75, 1.0, 1.25, 1.5]
+
+
+def test_discord_entropy_change_builds_one_dimer(monkeypatch):
+    built, calls = [], []
+
+    def counting_build(**kwargs):
+        model, seen = counting_model(build_dimer(**kwargs))
+        built.append(kwargs)
+        calls.append(seen)
+        return model
+
+    monkeypatch.setattr(discord, "build_dimer", counting_build)
+    entropy_change_from_discord(0.5, 1.5, 1.0)
+    assert built == [{"J": 0.5, "b": 0.0, "parameter": "J"}]
+    # each Simpson node is diagonalized once
+    assert len(calls[0]) == len(set(calls[0])) > 3

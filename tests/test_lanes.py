@@ -13,6 +13,7 @@ from qcaloric.caloric import (
     adiabatic_temperature_change,
     adiabatic_temperature_change_lanes,
     classical_adiabatic_temperature_change,
+    generalized_force,
     isothermal_entropy_change,
     isothermal_entropy_change_lanes,
 )
@@ -74,6 +75,20 @@ def test_sweep_points_equal_single_temperature_calls_bitwise(threads, singles, m
     for curve in curves:
         expected = tuple((r.T_start, r.value, r.error_estimate) for r in singles[curve.name])
         assert curve.points == expected, curve.name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_force_sweep_points_equal_generalized_force_bitwise(threads, monkeypatch):
+    # the sweep diagonalizes each lambda once with every temperature as a lane
+    monkeypatch.setenv("QCAL_THREADS", threads)
+    dimer = build_dimer(J=J_I, b=0.3, parameter="J")
+    lams = np.linspace(J_I, J_F, 5).tolist()
+    curves = run_sweep(scenario(DIMER, "J", J_I, J_F, DIMER_TEMPS, ["force"]),
+                       sweep_values=lams)
+    assert [c.name for c in curves] == [f"force_T={t:g}" for t in DIMER_T]
+    for curve, t in zip(curves, DIMER_T):
+        assert curve.points == tuple((lam, generalized_force(dimer, lam, t), 0.0)
+                                     for lam in lams), curve.name
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 3])
