@@ -190,12 +190,13 @@ def maxwell_residual(model: ParamHamiltonian, lam: float, temperature: float) ->
     return ds_dlam + davg_dt
 
 
-def _simpson_lanes(f, a: float, b: float, lanes: np.ndarray, what: str):
+def _simpson_lanes(f, a: float, b: float, lanes: np.ndarray, what: str,
+                   tol: float = _QUAD_TOL):
     """Composite Simpson on [a, b] with interval doubling, lane by lane.
 
     ``f(lam, lanes)`` returns the integrand at ``lam`` for each lane index
     in ``lanes``. A lane stops when its successive estimates differ by less
-    than 1e-8 absolutely or relatively and is frozen there; later doublings
+    than ``tol`` absolutely or relatively and is frozen there; later doublings
     evaluate only the lanes still active. All previous integrand evaluations
     are reused via the midpoint sums. Returns {lane: (value,
     error_estimate, doublings_used)}, or the lane's QCaloricError.
@@ -220,7 +221,7 @@ def _simpson_lanes(f, a: float, b: float, lanes: np.ndarray, what: str):
             new_estimate = h / 3.0 * (end_sum + 4.0 * odd_sum + 2.0 * even_sum)
             diff = np.abs(new_estimate - estimate)
             estimate = new_estimate
-            done = diff < np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(estimate))
+            done = diff < np.maximum(tol, tol * np.abs(estimate))
             for lane, value, err in zip(lanes[done].tolist(), estimate[done].tolist(),
                                         diff[done].tolist()):
                 out[lane] = (value, err, level)
@@ -237,6 +238,19 @@ def _simpson_lanes(f, a: float, b: float, lanes: np.ndarray, what: str):
     return out
 
 
+def _pieces(model: ParamHamiltonian, lambda_i: float, lambda_f: float):
+    """[lambda_i, lambda_f] split at the model's interior breakpoints, in path
+    order: one (a, b, read) per piece. ``read`` maps a piece endpoint that is
+    a breakpoint to the float next to it inside the piece, where H(lambda)
+    and its derivative follow the piece's own slope."""
+    lo, hi = min(lambda_i, lambda_f), max(lambda_i, lambda_f)
+    cuts = sorted((x for x in model.breakpoints if lo < x < hi), reverse=bool(lambda_i > lambda_f))
+    ends = [lambda_i, *cuts, lambda_f]
+    return [(a, b, {x: float(np.nextafter(x, y)) for x, y in ((a, b), (b, a))
+                    if x in model.breakpoints})
+            for a, b in zip(ends[:-1], ends[1:])]
+
+
 def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
                                     lambda_f: float, temperatures) -> list:
     """``isothermal_entropy_change`` at each of ``temperatures``, evaluated
@@ -246,7 +260,9 @@ def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
     is diagonalized once for all temperatures. Each lane stops at its own
     refinement level and equals the single-temperature call bit for bit.
     Returns one entry per temperature: its CaloricResult, or the
-    QCaloricError its single call raises.
+    QCaloricError its single call raises. On a model with breakpoints each
+    piece between them is integrated on its own; the value and the error
+    estimate are the sums over the pieces, the level the deepest one.
     """
     temps, slots, live = _open_lanes(temperatures, "T", lambda_i, lambda_f)
     if lambda_i == lambda_f:
@@ -254,12 +270,18 @@ def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
     else:
         cache = _SpectralCache(model)
         t_sq = temps * temps
+        done = {}
+        for a, b, read in _pieces(model, lambda_i, lambda_f):
+            def integrand(lam, lanes, read=read):
+                return -cache.lanes(read.get(lam, lam), temps[lanes])[3] / t_sq[lanes]
 
-        def integrand(lam, lanes):
-            return -cache.lanes(lam, temps[lanes])[3] / t_sq[lanes]
-
-        done = _simpson_lanes(integrand, lambda_i, lambda_f, live,
-                              "isothermal entropy change")
+            for j, got in _simpson_lanes(integrand, a, b, live,
+                                         "isothermal entropy change").items():
+                prev = done.get(j)
+                done[j] = got if prev is None or isinstance(got, QCaloricError) else (
+                    prev[0] + got[0], prev[1] + got[1], max(prev[2], got[2]))
+            live = np.array([j for j in live.tolist()
+                             if not isinstance(done[j], QCaloricError)], dtype=int)
     for j, got in done.items():
         slots[j] = got if isinstance(got, QCaloricError) else CaloricResult(
             "entropy_change", got[0], lambda_i, lambda_f, float(temps[j]),

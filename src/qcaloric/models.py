@@ -20,7 +20,7 @@ field ``b = g * mu_B * B / k_B`` in kelvin. To translate to the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping, Optional
+from typing import Callable, ClassVar, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -122,6 +122,11 @@ class ParamHamiltonian:
     magnetization_operator : HermitianOperator or None
         Total S_z in spin-1/2 units, present when the model carries a
         Zeeman structure.
+    breakpoints : tuple of float
+        Parameter values where H(lambda) has a kink (the table nodes of a
+        tabulated model). Integrations split their intervals there and read
+        each piece's endpoints one ulp inside it, where ``derivative`` is
+        the piece's own slope.
     """
 
     dimension: int
@@ -130,6 +135,7 @@ class ParamHamiltonian:
     evaluate: Callable[[float], HermitianOperator]
     derivative: Callable[[float], HermitianOperator]
     magnetization_operator: Optional[HermitianOperator] = field(default=None)
+    breakpoints: Tuple[float, ...] = ()
 
 
 def _affine(parameter: str, frozen: Mapping[str, float], h0: np.ndarray,
@@ -193,7 +199,7 @@ def build_tabulated(table: SpectrumTable) -> ParamHamiltonian:
     ``derivative`` returns the exact segment slope between nodes and the
     grid central difference exactly at interior nodes (one-sided at the
     ends), so finite differences of ``evaluate`` match it everywhere off
-    the nodes.
+    the nodes. The grid is the model's ``breakpoints``.
     """
     grid = table.lambda_grid
     rows = table.energies
@@ -234,4 +240,5 @@ def build_tabulated(table: SpectrumTable) -> ParamHamiltonian:
         evaluate=evaluate,
         derivative=derivative,
         magnetization_operator=None,
+        breakpoints=tuple(grid.tolist()),
     )

@@ -10,7 +10,8 @@ call bit for bit; the force computation takes them as lanes of each lambda.
 
 Work is spread over up to QCAL_THREADS workers (default: processor count):
 the temperature grid is split into that many chunks for the endpoint
-computations, and grid points are mapped one by one for discord and decompose.
+computations, and grid points are mapped one by one for discord. Decompose
+runs its temperatures one after another on the calling thread.
 Results are gathered in grid order, so output is deterministic regardless
 of the degree of parallelism. A failing grid point aborts the whole run --
 partial curves are never emitted; its error names the failing temperature,
@@ -164,14 +165,13 @@ def run_sweep(scenario: Scenario, *,
                     name=f"force_T={t:g}", abscissa_unit="K", value_unit="K_per_lambda",
                     points=tuple((lam, y, 0.0) for lam, y in zip(lams, values))))
         elif comp == "decompose":
-            results = _parallel_map(_wrap(
-                lambda t: process_decompose(model, [(lam_i, t), (lam_f, t)]),
-                comp, lam_desc), temps)
-            for name, pick in (("work", lambda d: d.work),
-                               ("heat", lambda d: d.heat),
-                               ("energy_change", lambda d: d.energy_change)):
+            stroke = _wrap(lambda t: process_decompose(model, [(lam_i, t), (lam_f, t)]),
+                           comp, lam_desc)
+            results = [stroke(t) for t in temps]
+            for name, pick in (("work", lambda d: (d.work, d.error_estimate)),
+                               ("heat", lambda d: (d.heat, d.error_estimate)),
+                               ("energy_change", lambda d: (d.energy_change, 0.0))):
                 curves.append(Curve(
                     name=name, abscissa_unit="K", value_unit="K",
-                    points=tuple((t, pick(d), 0.0)
-                                 for t, d in zip(temps, results))))
+                    points=tuple((t, *pick(d)) for t, d in zip(temps, results))))
     return CurveSet(curves=tuple(curves))

@@ -247,6 +247,26 @@ def check_first_law_closure(quick):
                            f"adiabat heat {abs(d.heat):.2e}")
 
 
+def check_decompose_closed_form(quick):
+    """W = dF and Q = T dS on isothermal strokes, T from 0.1 to 10 gaps."""
+    strokes = (("dimer(J)", models.build_dimer(J=1.0, b=0.3, parameter="J"), 0.5, 1.5),
+               ("dimer(b)", models.build_dimer(J=0.8, b=0.5, parameter="b"), 0.2, 1.5),
+               ("single_spin", models.build_single_spin_zeeman(1.0), 0.5, 2.0))
+    worst = 0.0
+    for name, model, lam_i, lam_f in strokes:
+        levels = thermal.thermal_state(model, lam_i, 1.0).spectrum.values
+        gap = float(levels[1] - levels[0])
+        for ratio in ((0.1, 1.0, 10.0) if quick else (0.1, 0.3, 1.0, 3.0, 10.0)):
+            t = ratio * gap
+            a = _thermo(model, lam_i, t)
+            z = _thermo(model, lam_f, t)
+            work, heat = z.free_energy - a.free_energy, t * (z.entropy - a.entropy)
+            d = thermal.process_decompose(model, [(lam_i, t), (lam_f, t)])
+            worst = max(worst, max(abs(d.work - work), abs(d.heat - heat))
+                        / max(1.0, abs(work), abs(heat)))
+    return worst <= 1e-9, f"worst |W - dF|, |Q - T dS| {worst:.2e} of scale (tol 1e-9)"
+
+
 def check_susceptibility_fd_crosscheck(quick):
     worst = 0.0
     for model in (models.build_single_spin_zeeman(1.0),
@@ -509,6 +529,7 @@ CHECKS: List[Check] = [
     ("thermal.hellmann_feynman", check_hellmann_feynman),
     ("thermal.free_energy_identity", check_free_energy_identity),
     ("thermal.first_law_closure", check_first_law_closure),
+    ("thermal.decompose_closed_form", check_decompose_closed_form),
     ("thermal.susceptibility_fd_crosscheck", check_susceptibility_fd_crosscheck),
     ("caloric.entropy_oracle_equivalence", check_entropy_oracle_equivalence),
     ("caloric.temperature_oracle_equivalence", check_temperature_oracle_equivalence),

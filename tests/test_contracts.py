@@ -77,8 +77,10 @@ def counting_model(model=None):
     (lambda m: adiabatic_temperature_change_matching(m, 0.5, 1.5, 1.0), 2),
     (lambda m: generalized_force(m, 0.7, 1.0), 1),
     (lambda m: maxwell_residual(m, 0.7, 1.0), 3),
-    (lambda m: process_decompose(m, [(0.5, 4.0), (1.5, 4.0)]), 4097),
-], ids=["quadrature", "direct", "ode", "matching", "force", "maxwell", "decompose"])
+    (lambda m: process_decompose(m, [(0.5, 4.0), (1.5, 4.0)]), 129),
+    (lambda m: process_decompose(m, [(0.5, 1.0), (1.5, 1.0)]), 513),
+], ids=["quadrature", "direct", "ode", "matching", "force", "maxwell", "decompose",
+        "decompose_pinned_T1"])
 def test_eigensolve_budget(route, budget):
     # every lambda is diagonalized once per call; a lookup that stops
     # memoizing, or a route that refines further, shows up here
