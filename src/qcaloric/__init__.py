@@ -38,6 +38,7 @@ from .linalg import (
     EigenDecomposition,
     HermitianOperator,
     hermitian_eigen,
+    hermitian_eigen_stack,
     kron,
     spin_half_operators,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "entropy_change_from_discord",
     "generalized_force",
     "hermitian_eigen",
+    "hermitian_eigen_stack",
     "isothermal_entropy_change",
     "isothermal_entropy_change_direct",
     "isothermal_entropy_change_lanes",

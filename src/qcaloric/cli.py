@@ -11,8 +11,8 @@ Subcommands::
     qcaloric validate        [--quick]
 
 Exit codes: 0 success, 1 validation/invariant failure, 2 usage error,
-3 computation error. The sweep parallelism degree is read from the
-QCAL_THREADS environment variable (default: processor count).
+3 computation error. Sweeps run on the calling thread; a positive
+QCAL_THREADS environment variable opts into that many worker threads.
 """
 
 from __future__ import annotations

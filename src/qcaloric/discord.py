@@ -162,9 +162,13 @@ def entropy_change_from_discord(J_i: float, J_f: float, T: float) -> float:
             f"sweep [{J_i:g}, {J_f:g}] straddles J = 0 where |c| is "
             "non-differentiable")
     cache = _SpectralCache(build_dimer(J=J_i, b=0.0, parameter="J"))
-    got = _simpson_lanes(
-        lambda j, lanes: _discord_slopes(cache, j, np.array([float(T)])),
-        J_i, J_f, np.zeros(1, dtype=int), "discord-integral entropy change")[0]
+
+    def integrand(nodes, lanes):
+        cache.fill(nodes)
+        return [_discord_slopes(cache, j, np.array([float(T)])) for j in nodes]
+
+    got = _simpson_lanes(integrand, J_i, J_f, np.zeros(1, dtype=int),
+                         "discord-integral entropy change")[0]
     if isinstance(got, QCaloricError):
         raise got
     return abs(6.0 * got[0])

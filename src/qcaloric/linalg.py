@@ -1,7 +1,9 @@
 """Dense complex Hermitian linear algebra for small spin Hamiltonians.
 
 Provides Kronecker products, spin-1/2 operator sets, and a Hermitian
-eigensolver on top of LAPACK. Everything targets dimensions <= 64.
+eigensolver on top of LAPACK. The eigensolver takes a stack of matrices in one
+LAPACK call (``hermitian_eigen_stack``); ``hermitian_eigen`` is its
+one-matrix case. Everything targets dimensions <= 64.
 
 Conventions: matrices are complex128 throughout, even for models that happen
 to be real symmetric. Energies carried by these operators are in kelvin
@@ -73,10 +75,11 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        # array methods, not np.all/np.max: every H(lambda) is validated here
+        if not np.isfinite(m.view(float)).all():
             raise ValueError("operator matrix has non-finite entries")
-        defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
+        defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        scale = float(np.abs(m).max()) if m.size else 0.0
         if defect > HERMITICITY_RTOL * max(scale, 1e-300):
             raise NonHermitianError(
                 f"hermiticity defect {defect:.3e} exceeds "
@@ -93,11 +96,11 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectrum of a Hermitian operator.
+    """Spectrum of a Hermitian operator, or of a stack of them.
 
     ``values`` are real and ascending (tied levels of a diagonal input keep
-    their original order); ``vectors`` holds the matching eigenvectors as columns of a
-    unitary matrix.
+    their original order); ``vectors`` holds the matching eigenvectors as
+    columns of a unitary matrix. A stack adds one leading axis to both.
     """
 
     values: np.ndarray
@@ -109,52 +112,74 @@ class EigenDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
-def hermitian_eigen(a) -> EigenDecomposition:
-    """Diagonalize a Hermitian operator with LAPACK (``numpy.linalg.eigh``).
+def _eigh(m: np.ndarray):
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigh failed: {exc}") from exc
 
-    Input that is already diagonal (every tabulated model, the zero matrix)
-    skips the solver: its diagonal is sorted stably, so degenerate levels
-    keep their original order, and the eigenvectors are the matching
-    columns of the identity.
+
+def hermitian_eigen_stack(operators) -> EigenDecomposition:
+    """Diagonalize equally sized Hermitian operators in one LAPACK call
+    (``numpy.linalg.eigh`` on the stack).
+
+    Each matrix gets the bits its own ``eigh`` call would give. A matrix
+    that is already diagonal (every tabulated model, the zero matrix) skips
+    the solver: its diagonal is sorted stably, so degenerate levels keep
+    their original order, and the eigenvectors are the matching columns of
+    the identity.
 
     Parameters
     ----------
-    a : HermitianOperator or ndarray
+    operators : sequence of HermitianOperator or ndarray
         Raw arrays are validated first (may raise ``NonHermitianError``).
 
     Returns
     -------
     EigenDecomposition
-        Ascending eigenvalues and unitary eigenvector columns.
+        ``values`` of shape (n, d), ascending per row, and ``vectors`` of
+        shape (n, d, d) with unitary eigenvector columns.
 
     Raises
     ------
     NoConvergenceError
         LAPACK reports that the eigenvalue iteration failed to converge.
     """
-    if not isinstance(a, HermitianOperator):
-        a = HermitianOperator(np.asarray(a, dtype=complex))
-    m = a.matrix
-    diag = np.diag(m)
-    if np.count_nonzero(m) == np.count_nonzero(diag):
-        raw = np.real(diag)
-        order = np.argsort(raw, kind="stable")
-        return EigenDecomposition(values=raw[order],
-                                  vectors=np.eye(a.dim, dtype=complex)[:, order])
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"LAPACK eigh failed: {exc}") from exc
+    m = np.array([a.matrix if isinstance(a, HermitianOperator)
+                  else HermitianOperator(np.asarray(a, dtype=complex)).matrix
+                  for a in operators])
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    flat = np.count_nonzero(m, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
+    if not flat.any():
+        return EigenDecomposition(*_eigh(m))
+    values, vectors = np.empty(diag.shape), np.empty_like(m)
+    raw = np.real(diag[flat])
+    order = np.argsort(raw, axis=1, kind="stable")
+    values[flat] = np.take_along_axis(raw, order, 1)
+    vectors[flat] = np.eye(m.shape[-1], dtype=complex)[order].transpose(0, 2, 1)
+    if not flat.all():
+        values[~flat], vectors[~flat] = _eigh(m[~flat])
     return EigenDecomposition(values=values, vectors=vectors)
 
 
+def hermitian_eigen(a) -> EigenDecomposition:
+    """Diagonalize one Hermitian operator: the one-matrix case of
+    ``hermitian_eigen_stack``, with the same diagonal rule and errors."""
+    spectra = hermitian_eigen_stack([a])
+    return EigenDecomposition(values=spectra.values[0], vectors=spectra.vectors[0])
+
+
 def eigenbasis_diagonal(operator, basis: np.ndarray) -> np.ndarray:
-    """Diagonal matrix elements <n|A|n> in the given eigenbasis columns."""
+    """Diagonal matrix elements <n|A|n> in the given eigenbasis columns.
+
+    A stack of bases (and of operators, or one operator for all) gives one
+    row per basis in one batched matmul, each row bitwise equal to its own
+    call."""
     m = operator.matrix if isinstance(operator, HermitianOperator) else np.asarray(operator, dtype=complex)
-    if m.shape[0] != basis.shape[0]:
+    if m.shape[-1] != basis.shape[-2]:
         raise ValueError(
-            f"operator dim {m.shape[0]} does not match basis dim {basis.shape[0]}")
-    return np.real(np.sum(basis.conj() * (m @ basis), axis=0))
+            f"operator dim {m.shape[-1]} does not match basis dim {basis.shape[-2]}")
+    return np.real(np.sum(basis.conj() * (m @ basis), axis=-2))

@@ -3,23 +3,28 @@ scenario's (lambda, T) grids and gather curves.
 
 The endpoint computations (entropy, adiabatic, classical_adiabatic) run
 their temperatures as lanes of one integration: the lanes share the lambda
-nodes and one spectral cache, so each node is diagonalized once per chunk
-of temperatures, not once per temperature. Each lane keeps its own
-convergence level, and every point equals the single-temperature public
-call bit for bit; the force computation takes them as lanes of each lambda.
+nodes and one spectral cache, so each node is diagonalized once, not once
+per temperature, and the nodes of a Simpson level or an RK4 pass are
+diagonalized together. Each lane keeps its own convergence level, and
+every point equals the single-temperature public call bit for bit; the
+force computation takes them as lanes of each lambda.
 
-Work is spread over up to QCAL_THREADS workers (default: processor count):
-the temperature grid is split into that many chunks for the endpoint
-computations, and grid points are mapped one by one for discord. Decompose
-runs its temperatures one after another on the calling thread.
-Results are gathered in grid order, so output is deterministic regardless
-of the degree of parallelism. A failing grid point aborts the whole run --
-partial curves are never emitted; its error names the failing temperature,
-the lowest one when several fail.
+Sweeps run on the calling thread. Every model here is small enough that
+numpy holds the interpreter lock throughout, so worker threads only
+contend. A positive QCAL_THREADS opts into that many workers: the
+temperature grid is split into that many chunks for the endpoint
+computations (each with its own cache and walk), and grid points are
+mapped one by one for discord. Force and decompose always run on the
+calling thread. Results are gathered in grid order, so output is
+deterministic regardless of the degree of parallelism. A failing grid
+point aborts the whole run -- partial curves are never emitted; its error
+names the failing temperature, the lowest one when several fail.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
@@ -40,15 +45,12 @@ from .thermal import _require_lambda, _require_temperature, process_decompose
 
 
 def thread_count() -> int:
-    """Worker count from QCAL_THREADS; falls back to the processor count."""
-    raw = os.environ.get("QCAL_THREADS", "")
+    """Worker count: a positive integer QCAL_THREADS opts into that many;
+    unset or anything else is 1, the calling thread."""
     try:
-        n = int(raw)
+        return max(int(os.environ.get("QCAL_THREADS", "")), 1)
     except ValueError:
-        n = 0
-    if n < 1:
-        n = os.cpu_count() or 1
-    return n
+        return 1
 
 
 def _parallel_map(fn, items: Sequence):
@@ -93,6 +95,7 @@ def _force_table(model, lams, temps) -> np.ndarray:
     for t in temps:
         _wrap(lambda _: _require_temperature(t), "force", f"T = {t:g} K", "lambda")(lams[0])
     cache, lanes = _SpectralCache(model), np.array(temps, dtype=float)
+    cache.fill(itertools.takewhile(math.isfinite, lams))   # a non-finite lambda fails in its row
 
     def row(lam):
         _require_lambda(lam)

@@ -292,17 +292,19 @@ def process_decompose(model: ParamHamiltonian,
     for k, ((la, ta), (lb, tb)) in enumerate(zip(pts[:-1], pts[1:])):
         for a, b, read in (_pieces(model, la, lb) if la != lb else ()):
             segment.append(k)
-            rows.append((a, b - a, read.get(a, a), read.get(b, b),
+            rows.append((a, b - a, read(a), read(b),
                           *(ta + (x - la) / (lb - la) * (tb - ta) for x in (a, b))))
     start, width, read_a, read_b, t_a, t_b = np.array(rows).reshape(-1, 6).T
     cache = _SpectralCache(model)
 
-    def integrand(s, lanes):
-        lam = read_a if s == 0.0 else read_b if s == 1.0 else start + s * width
-        t = t_a + s * (t_b - t_a)
-        mean_d = [cache.lanes(x, np.array([y]))[1][0]
-                  for x, y in zip(lam[lanes].tolist(), t[lanes].tolist())]
-        return np.array(mean_d) * width[lanes]
+    def integrand(nodes, lanes):
+        # (lambda, T) of each live lane at each node s, all diagonalized together
+        points = [((read_a if s == 0.0 else read_b if s == 1.0 else start + s * width)[lanes],
+                   (t_a + s * (t_b - t_a))[lanes]) for s in nodes]
+        cache.fill(x for lam, _ in points for x in lam.tolist())
+        return [np.array([cache.lanes(x, np.array([y]))[1][0]
+                          for x, y in zip(lam.tolist(), t.tolist())]) * width[lanes]
+                for lam, t in points]
 
     done = _simpson_lanes(integrand, 0.0, 1.0, np.arange(len(segment)), "process work",
                           tol=_DECOMPOSE_TOL)

@@ -22,7 +22,7 @@ from qcaloric.caloric import (
     isothermal_entropy_change_lanes,
     maxwell_residual,
 )
-from qcaloric import discord, sweep
+from qcaloric import caloric, discord, sweep
 from qcaloric.discord import (
     discord_from_susceptibility,
     discord_temperature_derivative,
@@ -171,3 +171,65 @@ def test_discord_entropy_change_builds_one_dimer(monkeypatch):
     assert built == [{"J": 0.5, "b": 0.0, "parameter": "J"}]
     # each Simpson node is diagonalized once
     assert len(calls[0]) == len(set(calls[0])) > 3
+
+
+@pytest.mark.parametrize("value", [None, "0", "abc"])
+def test_sweeps_run_on_the_calling_thread_by_default(value, monkeypatch):
+    if value is None:
+        monkeypatch.delenv("QCAL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("QCAL_THREADS", value)
+    assert sweep.thread_count() == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the sweep opened a thread pool")
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_pool)
+    temps = {"from": 0.5, "to": 2.0, "points": 3}
+    dimer = parse_scenario(json.dumps({
+        "model": {"kind": "dimer", "J": 0.5, "b": 0.0}, "parameter": "J",
+        "sweep": {"from": 0.5, "to": 1.5, "points": 3}, "temperatures": temps,
+        "computations": ["entropy", "adiabatic", "force", "discord", "decompose"],
+        "output": {"csv": "out.csv"}}))
+    spin = parse_scenario(json.dumps({
+        "model": {"kind": "single_spin", "b": 1.0}, "parameter": "b",
+        "sweep": {"from": 0.5, "to": 2.0, "points": 2}, "temperatures": temps,
+        "computations": ["classical_adiabatic"], "lattice": {"a0": 0.1, "a1": 0.2, "a3": 0.05},
+        "output": {"csv": "out.csv"}}))
+    assert len(sweep.run_sweep(dimer).curves) == 1 + 1 + 3 + 3 + 3
+    assert len(sweep.run_sweep(spin).curves) == 1
+    # the guard is live: asking for two workers reaches the pool
+    monkeypatch.setenv("QCAL_THREADS", "2")
+    with pytest.raises(AssertionError, match="thread pool"):
+        sweep.run_sweep(dimer)
+
+
+@pytest.mark.parametrize("kernel", [isothermal_entropy_change_lanes,
+                                    adiabatic_temperature_change_lanes])
+@pytest.mark.parametrize("temps", [[1.0], np.linspace(0.25, 5.0, 25).tolist()],
+                         ids=["one_lane", "25_lanes"])
+def test_each_level_or_pass_is_one_stacked_call_per_block(kernel, temps, monkeypatch):
+    # Simpson fills its 3 first nodes, then the new nodes of each level; RK4
+    # fills the nodes of each pass; a fill stacks at most _FILL_BLOCK matrices
+    fills, stacks = [], []
+    real_fill, real_stack = caloric._SpectralCache.fill, caloric.hermitian_eigen_stack
+
+    def fill(cache, lams):
+        before, calls = len(cache._data), len(stacks)
+        real_fill(cache, lams)
+        fills.append((len(cache._data) - before, len(stacks) - calls))
+
+    def stack(operators):
+        stacks.append(len(operators))
+        return real_stack(operators)
+
+    monkeypatch.setattr(caloric._SpectralCache, "fill", fill)
+    monkeypatch.setattr(caloric, "hermitian_eigen_stack", stack)
+    model, calls = counting_model()
+    results = kernel(model, 0.5, 1.5, temps)
+    assert len(fills) == 1 + max(r.refinement_levels for r in results)
+    assert [n_stacks for _, n_stacks in fills] == [-(-new // caloric._FILL_BLOCK)
+                                                   for new, _ in fills]
+    # every node is built once and diagonalized inside a fill
+    assert sum(stacks) == sum(new for new, _ in fills) == len(calls) == len(set(calls))
+    assert max(stacks) <= caloric._FILL_BLOCK

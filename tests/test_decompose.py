@@ -1,14 +1,22 @@
 """process_decompose on the spectral kernel: closed-form work and heat on
 isothermal strokes, the stop rule's error, breakpoint splitting on tabulated
-models, and the sweep's error column."""
+models (decompose, entropy quadrature and RK4 adiabat), and the sweep's error
+column."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from qcaloric import caloric
-from qcaloric.caloric import isothermal_entropy_change, isothermal_entropy_change_direct
+from qcaloric.caloric import (
+    adiabatic_temperature_change,
+    adiabatic_temperature_change_lanes,
+    adiabatic_temperature_change_matching,
+    isothermal_entropy_change,
+    isothermal_entropy_change_direct,
+)
 from qcaloric.curves import render_csv
 from qcaloric.errors import NonFiniteParameterError, QuadratureNoConvergenceError
 from qcaloric.models import SpectrumTable, build_dimer, build_tabulated
@@ -129,6 +137,28 @@ def test_tabulated_entropy_quadrature_splits_at_the_nodes(lam_i, lam_f, t):
     direct = isothermal_entropy_change_direct(TABLE, lam_i, lam_f, t)
     assert abs(quad.value - direct.value) <= 1e-8
     assert len(calls) <= 129
+
+
+@pytest.mark.parametrize("lam_i, lam_f", [(1.0, 2.0), (0.3, 2.7)])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_tabulated_adiabat_splits_at_the_nodes(lam_i, lam_f, t):
+    # unsplit, RK4 stepped across the kinks and did not converge in 16 doublings
+    start = time.perf_counter()
+    ode = adiabatic_temperature_change(TABLE, lam_i, lam_f, t)
+    elapsed = time.perf_counter() - start
+    match = adiabatic_temperature_change_matching(TABLE, lam_i, lam_f, t)
+    assert abs(ode.value - match.value) <= 1e-8
+    assert elapsed < 1.0
+    lams = [lam for lam, _ in ode.path]
+    assert ode.path[0] == (lam_i, t) and ode.path[-1][1] == pytest.approx(t + ode.value)
+    assert np.all(np.diff(lams) > 0)
+
+
+def test_tabulated_adiabat_lanes_equal_single_calls():
+    # each lane enters the next piece at its own converged temperature
+    temps = [0.5, 1.0, 2.0]
+    assert adiabatic_temperature_change_lanes(TABLE, 2.7, 0.3, temps) == [
+        adiabatic_temperature_change(TABLE, 2.7, 0.3, t) for t in temps]
 
 
 def test_sweep_writes_the_work_error_estimate():

@@ -6,6 +6,7 @@ from qcaloric.linalg import (
     HermitianOperator,
     eigenbasis_diagonal,
     hermitian_eigen,
+    hermitian_eigen_stack,
     kron,
     spin_half_operators,
 )
@@ -195,3 +196,50 @@ class TestEigenbasisDiagonal:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             eigenbasis_diagonal(np.eye(3), np.eye(2, dtype=complex))
+
+
+class TestStackedEigensolver:
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_equals_per_matrix_solves_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        hs = [random_hermitian(rng, dim) for _ in range(9)]
+        vs = [random_hermitian(rng, dim) for _ in range(9)]
+        stack = hermitian_eigen_stack(hs)
+        diags = eigenbasis_diagonal(np.array(vs), stack.vectors)
+        shared = eigenbasis_diagonal(vs[0], stack.vectors)
+        assert stack.values.shape == (9, dim) and stack.dim == dim
+        for k, (h, v) in enumerate(zip(hs, vs)):
+            one = hermitian_eigen(h)
+            values, vectors = np.linalg.eigh(h)
+            assert np.array_equal(stack.values[k], one.values)
+            assert np.array_equal(stack.values[k], values)
+            assert np.array_equal(stack.vectors[k], vectors)
+            assert np.array_equal(diags[k], eigenbasis_diagonal(v, one.vectors))
+            assert np.array_equal(shared[k], eigenbasis_diagonal(vs[0], one.vectors))
+
+    def test_diagonal_members_keep_tied_levels_in_order(self):
+        rng = np.random.default_rng(11)
+        tied = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        h = random_hermitian(rng, 3)
+        stack = hermitian_eigen_stack([tied, h, np.zeros((3, 3), dtype=complex)])
+        assert np.array_equal(stack.values[0], [0.0, 1.0, 1.0])
+        assert np.array_equal(stack.vectors[0], np.eye(3)[:, [2, 0, 1]])
+        assert np.array_equal(stack.values[1], np.linalg.eigh(h)[0])
+        assert np.array_equal(stack.vectors[2], np.eye(3))
+        for k, m in enumerate((tied, h)):
+            assert np.array_equal(stack.values[k], hermitian_eigen(m).values)
+            assert np.array_equal(stack.vectors[k], hermitian_eigen(m).vectors)
+
+    def test_lapack_failure_raises_no_convergence(self, monkeypatch):
+        def failing_eigh(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        _, _, _, sx, _, sz = spin_half_operators()
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            hermitian_eigen_stack([sz, sx])
+
+    def test_rejects_non_hermitian_member(self):
+        _, _, _, sx, _, _ = spin_half_operators()
+        with pytest.raises(NonHermitianError):
+            hermitian_eigen_stack([sx, np.array([[0.0, 2.0], [1.0, 0.0]])])
