@@ -49,27 +49,29 @@ def main():
     print(f"\n6 Int dD/dT dJ = {from_discord:.6f} k_B, "
           f"dS_iso = {signed:+.6f} k_B")
 
-    # 3. Pressure-driven pipeline with a synthetic exchange table.
-    workdir = Path(tempfile.mkdtemp(prefix="qcaloric_demo_"))
-    table_text = "pressure_gpa,J_kelvin\n0.0,0.60\n1.5,0.95\n3.0,1.30\n4.9,1.80\n"
-    table = load_exchange_table(table_text)
-    scenario = parse_scenario(json.dumps({
-        "model": {"kind": "dimer", "J": 0.6, "b": 0.0},
-        "parameter": "J",
-        "sweep": {"from": 0.6, "to": 1.8, "points": 4},
-        "temperatures": {"from": 0.2, "to": 5.0, "points": 25},
-        "computations": ["discord", "entropy"],
-        "output": {"csv": str(workdir / "pipeline.csv"),
-                   "svg": str(workdir / "pipeline.svg")},
-    }))
-    labels = [f"P={p:g}GPa" for p in table.pressures]
-    curves = run_sweep(scenario, sweep_values=table.couplings,
-                       sweep_labels=labels)
-    written = emit_csv(curves, scenario.output_csv)
-    emit_svg(curves, scenario.output_svg)
-    print(f"\nwrote {len(written)} CSV curves and one SVG under {workdir}:")
-    for path in written:
-        print(f"  {path.name}")
+    # 3. Pressure-driven pipeline with a synthetic exchange table, written to
+    # a temporary directory that is removed when the demo is done.
+    with tempfile.TemporaryDirectory(prefix="qcaloric_demo_") as tmp:
+        workdir = Path(tmp)
+        table_text = "pressure_gpa,J_kelvin\n0.0,0.60\n1.5,0.95\n3.0,1.30\n4.9,1.80\n"
+        table = load_exchange_table(table_text)
+        scenario = parse_scenario(json.dumps({
+            "model": {"kind": "dimer", "J": 0.6, "b": 0.0},
+            "parameter": "J",
+            "sweep": {"from": 0.6, "to": 1.8, "points": 4},
+            "temperatures": {"from": 0.2, "to": 5.0, "points": 25},
+            "computations": ["discord", "entropy"],
+            "output": {"csv": str(workdir / "pipeline.csv"),
+                       "svg": str(workdir / "pipeline.svg")},
+        }))
+        labels = [f"P={p:g}GPa" for p in table.pressures]
+        curves = run_sweep(scenario, sweep_values=table.couplings,
+                           sweep_labels=labels)
+        written = emit_csv(curves, scenario.output_csv)
+        emit_svg(curves, scenario.output_svg)
+        print(f"\nwrote {len(written)} CSV curves and one SVG under {workdir}:")
+        for path in written:
+            print(f"  {path.name}")
 
 
 if __name__ == "__main__":

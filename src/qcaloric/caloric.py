@@ -273,28 +273,19 @@ def _simpson_lanes(f, a: float, b: float, lanes: np.ndarray, what: str,
 def _pieces(model: ParamHamiltonian, lambda_i: float, lambda_f: float):
     """[lambda_i, lambda_f] split at the model's interior breakpoints, in path
     order: one (a, b, read) per piece. ``read(lam)`` is where the model is
-    read for a lambda of the piece: a lambda on (or, by rounding of an RK4
-    walk, past) an end that is a breakpoint reads the float next to that end
-    inside the piece, where H(lambda) and its derivative follow the piece's
-    own slope; any other lambda reads itself."""
+    read for a node lam of the piece: an end that is a breakpoint reads the
+    float next to it inside the piece, where H(lambda) and its derivative
+    follow the piece's own slope; any other node reads itself. The nodes
+    a + step * k of the quadrature and the adiabat never pass an end."""
     lo, hi = min(lambda_i, lambda_f), max(lambda_i, lambda_f)
     cuts = sorted((x for x in model.breakpoints if lo < x < hi), reverse=bool(lambda_i > lambda_f))
     ends = [lambda_i, *cuts, lambda_f]
-    return [(a, b, _piece_reader(a, b, model.breakpoints)) for a, b in zip(ends[:-1], ends[1:])]
-
-
-def _piece_reader(a: float, b: float, breakpoints):
-    inner = {x: float(np.nextafter(x, y)) for x, y in ((a, b), (b, a)) if x in breakpoints}
-    sign = 1.0 if b > a else -1.0
-
-    def read(lam: float) -> float:
-        if a in inner and (lam - a) * sign <= 0:
-            return inner[a]
-        if b in inner and (lam - b) * sign >= 0:
-            return inner[b]
-        return lam
-
-    return read
+    pieces = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        inner = {x: float(np.nextafter(x, y)) for x, y in ((a, b), (b, a))
+                 if x in model.breakpoints}
+        pieces.append((a, b, lambda lam, inner=inner: inner.get(lam, lam)))
+    return pieces
 
 
 def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
@@ -414,14 +405,20 @@ def _rk4_lanes(slopes, lambda_i: float, lambda_f: float, t_start: np.ndarray,
 
     ``slopes(lam, t, lanes, failed)`` returns dT/dlambda at lam for the
     lane temperatures ``t`` (lanes index ``t_start``) and records the lanes
-    that cannot go on in ``failed``. ``fill(nodes)`` is given every lambda
-    node of a pass before the pass reads it. A lane doubles its step count until
-    successive end temperatures agree to 1e-9 K and is then frozen; later
-    passes integrate only the active lanes. A failed lane carries NaN to the
-    end of its pass (a pass in which every lane failed stops there) and is
-    dropped with the first error it met. Returns
-    {lane: (T_f, error, doublings, nodes of the final pass)}, or the lane's
-    QCaloricError.
+    that cannot go on in ``failed``. A pass of n steps, h = (lambda_f -
+    lambda_i) / n, reads the nodes lambda_i + (h/2) * k for k < 2n and
+    lambda_f itself, the rule of ``_simpson_lanes``; ``fill(nodes)`` is given
+    them before the pass reads them. Step s takes k1 at node 2s - 2, k2 and
+    k3 at node 2s - 1 and k4 at node 2s, and the path is every other node.
+    n is 16 * 2^level, so each node of a pass is a node of the next, bit for
+    bit, and a final pass of n steps costs 2n + 1 lambda nodes in all.
+
+    A lane doubles its step count until successive end temperatures agree to
+    1e-9 K and is then frozen; later passes integrate only the active lanes.
+    A failed lane carries NaN to the end of its pass (a pass in which every
+    lane failed stops there) and is dropped with the first error it met.
+    Returns {lane: (T_f, error, doublings, path of the final pass)}, or the
+    lane's QCaloricError.
     """
     out = {}
     if not lanes.size:
@@ -430,29 +427,24 @@ def _rk4_lanes(slopes, lambda_i: float, lambda_f: float, t_start: np.ndarray,
     def integrate(n_steps: int):
         h = (lambda_f - lambda_i) / n_steps
         half, sixth = h / 2.0, h / 6.0
-        lam, nodes = lambda_i, []
-        for _ in range(n_steps):   # the walk's own accumulation of lam
-            nodes += (lam, lam + half)
-            lam += h
-        fill(nodes + [lam])
-        lam, t = lambda_i, t_start[lanes]
-        lams = [lam]
+        nodes = [lambda_i + half * k for k in range(2 * n_steps)] + [lambda_f]
+        fill(nodes)
+        t = t_start[lanes]
         ts = np.full((n_steps + 1, len(lanes)), np.nan)   # node temperatures per lane
         ts[0] = t
         failed_before = len(out)
         for step in range(1, n_steps + 1):
             if len(out) - failed_before == len(lanes):
                 break
-            k1 = slopes(lam, t, lanes, out)
-            k2 = slopes(lam + half, t + half * k1, lanes, out)
-            k3 = slopes(lam + half, t + half * k2, lanes, out)
-            k4 = slopes(lam + h, t + h * k3, lanes, out)
+            mid = nodes[2 * step - 1]
+            k1 = slopes(nodes[2 * step - 2], t, lanes, out)
+            k2 = slopes(mid, t + half * k1, lanes, out)
+            k3 = slopes(mid, t + half * k2, lanes, out)
+            k4 = slopes(nodes[2 * step], t + h * k3, lanes, out)
             t = t + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            lam += h
-            lams.append(lam)
             ts[step] = t
         alive = np.array([lane not in out for lane in lanes.tolist()], dtype=bool)
-        return alive, lams, ts
+        return alive, nodes[::2], ts
 
     try:
         n = 16

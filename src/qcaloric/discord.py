@@ -32,9 +32,8 @@ from .thermal import _require_lambda, _require_temperature, thermal_average, the
 _ISOTROPY_TOL = 1e-8
 
 
-def _pauli_pair_operators():
-    _, _, _, sx, sy, sz = spin_half_operators()
-    return tuple(kron(s, s) for s in (sx, sy, sz))
+# sigma1^a sigma2^a for a in {x, y, z}, built once
+_PAULI_PAIRS = tuple(kron(s, s) for s in spin_half_operators()[3:])
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,7 @@ def pair_correlation(J: float, T: float) -> CorrelationRecord:
     _require_lambda(J)
     model = build_dimer(J=J, b=0.0, parameter="J")
     state = thermal_state(model, J, T)
-    c_x, c_y, c_z = (thermal_average(state, op)
-                     for op in _pauli_pair_operators())
+    c_x, c_y, c_z = (thermal_average(state, op) for op in _PAULI_PAIRS)
     record = CorrelationRecord(
         J=float(J), T=float(T), c_x=c_x, c_y=c_y, c_z=c_z,
         discord=abs((c_x + c_y + c_z) / 3.0) / 2.0)

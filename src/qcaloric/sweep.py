@@ -5,20 +5,21 @@ The endpoint computations (entropy, adiabatic, classical_adiabatic) run
 their temperatures as lanes of one integration: the lanes share the lambda
 nodes and one spectral cache, so each node is diagonalized once, not once
 per temperature, and the nodes of a Simpson level or an RK4 pass are
-diagonalized together. Each lane keeps its own convergence level, and
-every point equals the single-temperature public call bit for bit; the
-force computation takes them as lanes of each lambda.
+diagonalized together. Both place their nodes by one rule, lambda_i +
+step * k, so each refinement reuses every node of the one before. Each lane
+keeps its own convergence level, and every point equals the
+single-temperature public call bit for bit; the force computation takes
+them as lanes of each lambda.
 
 Sweeps run on the calling thread. Every model here is small enough that
 numpy holds the interpreter lock throughout, so worker threads only
-contend. A positive QCAL_THREADS opts into that many workers: the
-temperature grid is split into that many chunks for the endpoint
-computations (each with its own cache and walk), and grid points are
-mapped one by one for discord. Force and decompose always run on the
-calling thread. Results are gathered in grid order, so output is
-deterministic regardless of the degree of parallelism. A failing grid
-point aborts the whole run -- partial curves are never emitted; its error
-names the failing temperature, the lowest one when several fail.
+contend. A positive QCAL_THREADS opts into that many workers for the
+endpoint computations alone: the temperature grid is split into that many
+chunks, each with its own cache and walk. Discord, force and decompose
+always run on the calling thread. Results are gathered in grid order, so
+output is deterministic regardless of the degree of parallelism. A failing
+grid point aborts the whole run -- partial curves are never emitted; its
+error names the failing temperature, the lowest one when several fail.
 """
 
 from __future__ import annotations
@@ -53,14 +54,6 @@ def thread_count() -> int:
         return 1
 
 
-def _parallel_map(fn, items: Sequence):
-    workers = min(thread_count(), max(len(items), 1))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _failure(comp, axis, x, lam_desc, exc):
     return ComputationError(f"{comp} failed at {axis} = {x:g} K, {lam_desc}: {exc}")
 
@@ -76,13 +69,18 @@ def _wrap(fn, comp, lam_desc, axis="T"):
 
 def _lane_map(lanes_fn, comp, lam_desc, temps):
     """``lanes_fn`` over chunks of ``temps``, one chunk per worker, flattened
-    in grid order.
+    in grid order; the only pool of a sweep, opened when there are several.
 
     ``lanes_fn`` returns one result or QCaloricError per temperature; the
     lowest failing temperature aborts the sweep.
     """
     chunks = [c for c in np.array_split(temps, thread_count()) if c.size]
-    results = [r for chunk in _parallel_map(lanes_fn, chunks) for r in chunk]
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            done = list(pool.map(lanes_fn, chunks))
+    else:
+        done = map(lanes_fn, chunks)
+    results = [r for chunk in done for r in chunk]
     for t, r in zip(temps, results):
         if isinstance(r, QCaloricError):
             raise _failure(comp, "T", t, lam_desc, r) from r
@@ -154,9 +152,8 @@ def run_sweep(scenario: Scenario, *,
                              for t, r in zip(temps, results))))
         elif comp == "discord":
             for lam, label in zip(lams, sweep_labels):
-                records = _parallel_map(_wrap(
-                    lambda t, j=lam: pair_correlation(j, t),
-                    comp, f"J = {lam:g}"), temps)
+                record = _wrap(lambda t, j=lam: pair_correlation(j, t), comp, f"J = {lam:g}")
+                records = [record(t) for t in temps]
                 curves.append(Curve(
                     name=f"discord_{label}", abscissa_unit="K",
                     value_unit="dimensionless",

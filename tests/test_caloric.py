@@ -200,6 +200,16 @@ class TestAdiabaticTemperatureChange:
                     for lam, t in res.path)
         assert drift <= 1e-7
 
+    @pytest.mark.parametrize("lam_i, lam_f", [(0.5037, 1.4963), (1.4963, 0.5037),
+                                              (0.3, 1.7)])
+    def test_path_lambdas_are_exact_grid_nodes(self, lam_i, lam_f):
+        # every path lambda is a node of the grid, which the next refinement shares bit for bit
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        path = adiabatic_temperature_change(model, lam_i, lam_f, 1.0).path
+        h = (lam_f - lam_i) / (len(path) - 1)
+        assert [lam for lam, _ in path[:-1]] == [lam_i + k * h for k in range(len(path) - 1)]
+        assert path[-1][0] == lam_f
+
     def test_degenerate_variance_flat_spectrum(self):
         model = constant_spectrum_model(levels=(1.0, 1.0, 1.0))
         with pytest.raises(DegenerateVarianceError):

@@ -79,8 +79,10 @@ def counting_model(model=None):
     (lambda m: maxwell_residual(m, 0.7, 1.0), 3),
     (lambda m: process_decompose(m, [(0.5, 4.0), (1.5, 4.0)]), 129),
     (lambda m: process_decompose(m, [(0.5, 1.0), (1.5, 1.0)]), 513),
+    (lambda m: adiabatic_temperature_change(m, 0.5037, 1.4963, 1.0), 257),
+    (lambda m: adiabatic_temperature_change(m, 1.4963, 0.5037, 1.0), 257),
 ], ids=["quadrature", "direct", "ode", "matching", "force", "maxwell", "decompose",
-        "decompose_pinned_T1"])
+        "decompose_pinned_T1", "ode_non_dyadic", "ode_non_dyadic_reversed"])
 def test_eigensolve_budget(route, budget):
     # every lambda is diagonalized once per call; a lookup that stops
     # memoizing, or a route that refines further, shows up here
@@ -92,7 +94,10 @@ def test_eigensolve_budget(route, budget):
 @pytest.mark.parametrize("kernel, budget", [
     (isothermal_entropy_change_lanes, 257),
     (adiabatic_temperature_change_lanes, 513),
-], ids=["quadrature_lanes", "ode_lanes"])
+    # the endpoints of the benchmark's dimer sweep, in place of 0.5 -> 1.5
+    (lambda m, _i, _f, temps: adiabatic_temperature_change_lanes(m, 0.5037, 1.4963, temps),
+     513),
+], ids=["quadrature_lanes", "ode_lanes", "ode_lanes_non_dyadic"])
 def test_lane_kernel_eigensolve_budget(kernel, budget):
     # 25 temperatures share the lambda nodes: the deepest lane sets the count
     model, calls = counting_model()
