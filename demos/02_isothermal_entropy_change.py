@@ -29,7 +29,7 @@ def main():
     direct = isothermal_entropy_change_direct(model, 0.5, 1.5, temperature=1.0)
     print(f"dS_iso quadrature : {quad.value:+.9f} k_B "
           f"(error estimate {quad.error_estimate:.1e}, "
-          f"{quad.refinement_levels} doublings)")
+          f"{quad.refinement_levels} node doublings)")
     print(f"dS_iso direct     : {direct.value:+.9f} k_B")
     print(f"agreement         : {abs(quad.value - direct.value):.2e} k_B")
 

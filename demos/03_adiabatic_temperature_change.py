@@ -37,7 +37,7 @@ def main():
     matched = adiabatic_temperature_change_matching(dimer, 0.5, 1.5, T_start=1.0)
     print(f"\ndimer (b = 0.4 K), J: 0.5 -> 1.5 K from T = 1 K")
     print(f"  ODE route       : dT = {ode.value:+.9f} K "
-          f"({ode.refinement_levels} step doublings)")
+          f"({ode.refinement_levels} node doublings)")
     print(f"  entropy matching: dT = {matched.value:+.9f} K")
     print(f"  gap             : {abs(ode.value - matched.value):.2e} K")
 

@@ -19,11 +19,11 @@ the Zeeman case (heating when the field grows) pins the physical sign.
 Every potential ships with an independent oracle: the state-function entropy
 difference for dS_iso, and entropy-matching root finding for dT_ad.
 
-The quadrature and the adiabat integrate temperatures as lanes: the
-``*_lanes`` routes evaluate a whole temperature array in one integration
-whose lanes share the lambda nodes, so each node is diagonalized once for
-all of them. Each lane keeps its own refinement level, and the
-single-temperature routes are the one-lane case of the same kernel.
+dS_iso (Clenshaw-Curtis) and the adiabat (Picard iteration on u = ln T)
+read one grid, the nested Chebyshev-Lobatto nodes of each piece of the path,
+and integrate temperatures as lanes: the ``*_lanes`` routes share the nodes
+among a temperature array, each lane keeping its own refinement level, and
+the single-temperature routes are their one-lane case.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 from .errors import (
     BracketFailureError,
     DegenerateVarianceError,
-    NonPositiveTemperatureError,
     NoZeemanTermError,
     OdeNoConvergenceError,
     QCaloricError,
@@ -48,13 +47,16 @@ from .errors import (
 # hermitian_eigen is not called here; the benchmark's tracer checks this binding
 from .linalg import eigenbasis_diagonal, hermitian_eigen, hermitian_eigen_stack  # noqa: F401
 from .models import ParamHamiltonian
-from .thermal import (_boltzmann, _moments, _require_lambda, _require_temperature,
-                      _spectral_rows, entropy_from_populations, populations_from_levels)
+from .thermal import (_moments_at, _require_lambda, _require_temperature, _spectral_rows,
+                      entropy_from_populations, populations_from_levels)
 
+_BASE_NODES = 8           # Lobatto intervals of level 0; level L has 8 * 2^L
+# 1 025 nodes at most: the integration matrix of a level holds (n + 1)^2 floats
+_QUAD_MAX_DOUBLINGS = _ODE_MAX_DOUBLINGS = 7
 _QUAD_TOL = 1e-8          # successive-estimate tolerance, absolute and relative
-_QUAD_MAX_DOUBLINGS = 16
 _ODE_TOL = 1e-9           # kelvin, successive end-temperature difference
-_ODE_MAX_DOUBLINGS = 16
+_PICARD_TOL = 1e-11       # largest change of ln T at a node between iterates
+_PICARD_MAX_ITERATIONS = 100
 _VARIANCE_FLOOR_REL = 1e-14   # of (E_max - E_min)^2
 _MATCH_TOL = 1e-10        # kelvin, bisection bracket width
 _FILL_BLOCK = 64          # lambda nodes per stacked eigensolve: bounds the stack's memory
@@ -106,10 +108,10 @@ class _SpectralCache:
     """Eigen-data of one model as ``thermal._spectral_rows``, memoized per lambda:
     refinement levels and temperature lanes revisit a node, which is
     diagonalized once. ``fill`` diagonalizes many nodes in stacked LAPACK
-    calls, so the integrations fill each Simpson level or RK4 pass before
-    they read it. ``lanes`` reads thermal's population and moment formulas
-    at an array of T; ``force`` is its one-lane view, and ``entropy`` the
-    one-lane view of ``populations_from_levels``."""
+    calls, and ``stack`` returns a level's rows as one array for
+    ``thermal._moments_at``. ``lanes`` reads one node at an array of T;
+    ``force`` is its one-lane view, and ``entropy`` the one-lane view of
+    ``populations_from_levels``."""
 
     def __init__(self, model: ParamHamiltonian):
         self.model = model
@@ -145,16 +147,19 @@ class _SpectralCache:
 
     def rows(self, lam: float) -> np.ndarray:
         """The packed rows at lam; H(lam) is diagonalized on first use."""
-        got = self._data.get(lam)
-        if got is None:
+        if lam not in self._data:
             self._solve({lam: self.model.evaluate(lam)})
-            got = self._data[lam]
-        return got
+        return self._data[lam]
+
+    def stack(self, lams) -> np.ndarray:
+        """The rows of each of lams after one ``fill`` of them."""
+        lams = list(lams)
+        self.fill(lams)
+        return np.array([self.rows(lam) for lam in lams])
 
     def lanes(self, lam: float, temps: np.ndarray):
         """(<E>, <dH/dlambda>, var[H], Cov(dH/dlambda, H)) at lam, one entry per T."""
-        rows = self.rows(lam)
-        return _moments(_boltzmann(rows[4], temps[:, None])[0], rows)
+        return _moments_at(self.rows(lam), temps)
 
     def entropy(self, lam: float, temperature: float) -> float:
         return entropy_from_populations(populations_from_levels(self.rows(lam)[0], temperature)[0])
@@ -220,54 +225,97 @@ def maxwell_residual(model: ParamHamiltonian, lam: float, temperature: float) ->
     return ds_dlam + davg_dt
 
 
-def _simpson_lanes(f, a: float, b: float, lanes: np.ndarray, what: str,
-                   tol: float = _QUAD_TOL):
-    """Composite Simpson on [a, b] with interval doubling, lane by lane.
+@functools.lru_cache(maxsize=None)
+def _lobatto(n: int) -> Tuple[float, ...]:
+    """The Chebyshev-Lobatto points -cos(pi k / n), k = 0..n, of [-1, 1]. As
+    pi * 2k / 2n rounds to pi * k / n, point k of n is point 2k of 2n, bit
+    for bit: a refinement reuses every node."""
+    return tuple(-math.cos(math.pi * k / n) for k in range(n + 1))
 
-    ``f(nodes, lanes)`` returns the integrand at each of ``nodes`` (one
-    row per node) for each lane index in ``lanes``; it is asked once for all
-    the new nodes of a level, so that it can diagonalize them together. A
-    lane stops when its successive estimates differ by less than ``tol``
-    absolutely or relatively and is frozen there; later doublings evaluate
-    only the lanes still active. All previous integrand evaluations are
-    reused via the midpoint sums. Returns {lane: (value, error_estimate,
-    doublings_used)}, or the lane's QCaloricError.
-    """
-    out = {}
-    if not lanes.size:
-        return out
+
+def _nodes(a: float, b: float, n: int) -> list:
+    """The Lobatto points of [a, b] in path order, a and b exact."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return [a, *(mid + half * x for x in _lobatto(n)[1:-1]), b]
+
+
+@functools.lru_cache(maxsize=None)
+def _integration_matrix(n: int) -> np.ndarray:
+    """Q[k, j] = Int_{-1}^{x_k} l_j, l_j the Lagrange polynomial of Lobatto
+    point j, stored as an (n + 1, n + 1, 1) array indexed [j, k]: Q g
+    integrates the interpolant of g from -1 to every point (Clenshaw &
+    Norton 1963), and Q[n] holds the Clenshaw-Curtis weights."""
+    k = np.arange(n + 1)
+    cheb = np.cos(np.pi / n * (np.outer(k[::-1], np.arange(n + 2)) % (2 * n)))   # T_m(x_k)
+    ends = np.where((k == 0) | (k == n), 0.5, 1.0)
+    coeffs = (2.0 / n) * ends[:, None] * cheb[:, :-1].T * ends   # values -> T_m coefficients
+    up, down = 0.5 / (k + 1), np.where(k > 1, 0.5 / np.maximum(k - 1, 1), 0.0)
+    up[0] = 1.0
+    anti = cheb[:, 1:] * up - cheb[:, abs(k - 1)] * down   # Int T_m up to a constant
+    return np.ascontiguousarray(((anti - anti[0]) @ coeffs).T)[:, :, None]
+
+
+def _weighted_sum(coefs, rows: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] * rows[j], accumulated node by node, so that every lane
+    (column of a row) gets the same bits however many lanes there are."""
+    total = coefs[0] * rows[0]
+    for c, row in zip(coefs[1:], rows[1:]):
+        total = total + c * row
+    return total
+
+
+def _refine(step, lanes: np.ndarray, close, fail, max_level: int):
+    """The refinement loop of every lambda integral, lane by lane: level L
+    integrates the live lanes (an index array) on 8 * 2^L + 1 Lobatto nodes.
+    ``step(level, lanes)`` returns each lane's estimate and its payload or
+    QCaloricError; a lane is frozen once ``close(difference, estimate)``
+    holds, and one still open after ``max_level`` gets ``fail(difference)``.
+    Returns {lane: (estimate, difference, level, payload)} or its error."""
+    out, last = {}, None
     try:
-        n = 2
-        h = (b - a) / n
-        f_a, f_b, odd_sum = f([a, b, a + h], lanes)   # odd_sum: nodes with odd index
-        end_sum = f_a + f_b
-        even_sum = np.zeros(len(lanes))    # interior nodes with even index
-        estimate = h / 3.0 * (end_sum + 4.0 * odd_sum + 2.0 * even_sum)
-        for level in range(1, _QUAD_MAX_DOUBLINGS + 1):
-            n *= 2
-            h = (b - a) / n
-            even_sum = even_sum + odd_sum
-            odd_sum = 0.0
-            for row in f([a + h * k for k in range(1, n, 2)], lanes):   # in node order
-                odd_sum = odd_sum + row
-            new_estimate = h / 3.0 * (end_sum + 4.0 * odd_sum + 2.0 * even_sum)
-            diff = np.abs(new_estimate - estimate)
-            estimate = new_estimate
-            done = diff < np.maximum(tol, tol * np.abs(estimate))
-            for lane, value, err in zip(lanes[done].tolist(), estimate[done].tolist(),
-                                        diff[done].tolist()):
-                out[lane] = (value, err, level)
-            lanes, end_sum, odd_sum, even_sum, estimate, diff = (
-                x[~done] for x in (lanes, end_sum, odd_sum, even_sum, estimate, diff))
+        for level in range(max_level + 1):
             if not lanes.size:
                 return out
-        for lane, err in zip(lanes.tolist(), diff.tolist()):
-            out[lane] = QuadratureNoConvergenceError(
-                f"{what}: Simpson not converged after {_QUAD_MAX_DOUBLINGS} "
-                f"doublings (last difference {err:.3e})")
+            estimate, payloads = step(level, lanes)
+            ok = np.array([not isinstance(p, QCaloricError) for p in payloads], dtype=bool)
+            diff = np.abs(estimate - last) if level else np.full(len(lanes), np.inf)
+            done = ok & close(diff, estimate)
+            for j in np.flatnonzero(done | ~ok).tolist():
+                out[int(lanes[j])] = payloads[j] if not ok[j] else (
+                    float(estimate[j]), float(diff[j]), level, payloads[j])
+            lanes, last, diff = (x[ok & ~done] for x in (lanes, estimate, diff))
+        out.update((lane, fail(err)) for lane, err in zip(lanes.tolist(), diff.tolist()))
     except QCaloricError as exc:
         out.update(dict.fromkeys(lanes.tolist(), exc))
     return out
+
+
+def _clenshaw_curtis_lanes(f, a: float, b: float, lanes: np.ndarray, what: str,
+                           tol: float = _QUAD_TOL):
+    """Clenshaw-Curtis quadrature on [a, b] on the levels of ``_refine``, each
+    lane stopping once successive estimates differ by < ``tol`` absolutely or
+    relatively. ``f(nodes, lanes)`` returns the integrand at a level's nodes
+    (one row per node) for the lane indices ``lanes``, read from a spectral
+    cache that diagonalizes the new nodes together."""
+    def step(level, live):
+        n = _BASE_NODES << level
+        return (0.5 * (b - a) * _weighted_sum(_integration_matrix(n)[:, -1],
+                                              f(_nodes(a, b, n), live)), [None] * len(live))
+
+    return _refine(step, lanes, lambda diff, est: diff < np.maximum(tol, tol * np.abs(est)),
+                   lambda err: QuadratureNoConvergenceError(
+                       f"{what}: Clenshaw-Curtis not converged after {_QUAD_MAX_DOUBLINGS} "
+                       f"doublings (last difference {err:.3e})"), _QUAD_MAX_DOUBLINGS)
+
+
+def _join_pieces(done: dict, piece: dict, live: np.ndarray, join) -> np.ndarray:
+    """Fold one piece's {lane: result or QCaloricError} into ``done``, a lane's
+    results by ``join(before, piece)``; returns the lanes still live."""
+    for j, got in piece.items():
+        prev = done.get(j)
+        done[j] = got if prev is None or isinstance(got, QCaloricError) else join(prev, got)
+    return np.array([j for j in live.tolist() if not isinstance(done[j], QCaloricError)],
+                    dtype=int)
 
 
 def _pieces(model: ParamHamiltonian, lambda_i: float, lambda_f: float):
@@ -275,8 +323,8 @@ def _pieces(model: ParamHamiltonian, lambda_i: float, lambda_f: float):
     order: one (a, b, read) per piece. ``read(lam)`` is where the model is
     read for a node lam of the piece: an end that is a breakpoint reads the
     float next to it inside the piece, where H(lambda) and its derivative
-    follow the piece's own slope; any other node reads itself. The nodes
-    a + step * k of the quadrature and the adiabat never pass an end."""
+    follow the piece's own slope; any other node reads itself. The Lobatto
+    nodes of ``_nodes`` hold both ends exactly and never pass them."""
     lo, hi = min(lambda_i, lambda_f), max(lambda_i, lambda_f)
     cuts = sorted((x for x in model.breakpoints if lo < x < hi), reverse=bool(lambda_i > lambda_f))
     ends = [lambda_i, *cuts, lambda_f]
@@ -291,15 +339,11 @@ def _pieces(model: ParamHamiltonian, lambda_i: float, lambda_f: float):
 def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
                                     lambda_f: float, temperatures) -> list:
     """``isothermal_entropy_change`` at each of ``temperatures``, evaluated
-    as the lanes of one Simpson quadrature.
-
-    The lanes share the lambda nodes and one spectral cache, so each node
-    is diagonalized once for all temperatures. Each lane stops at its own
-    refinement level and equals the single-temperature call bit for bit.
-    Returns one entry per temperature: its CaloricResult, or the
-    QCaloricError its single call raises. On a model with breakpoints each
-    piece between them is integrated on its own; the value and the error
-    estimate are the sums over the pieces, the level the deepest one.
+    as the lanes of one quadrature that share the lambda nodes and one
+    spectral cache. Each lane equals its single-temperature call bit for
+    bit: one entry per temperature, its CaloricResult or the QCaloricError
+    its single call raises. Pieces between breakpoints are integrated one
+    by one; values and error estimates add up, the level is the deepest.
     """
     temps, slots, live = _open_lanes(temperatures, "T", lambda_i, lambda_f)
     if lambda_i == lambda_f:
@@ -310,17 +354,12 @@ def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
         done = {}
         for a, b, read in _pieces(model, lambda_i, lambda_f):
             def integrand(nodes, lanes, read=read):
-                nodes = [read(lam) for lam in nodes]
-                cache.fill(nodes)
-                return [-cache.lanes(lam, temps[lanes])[3] / t_sq[lanes] for lam in nodes]
+                rows = cache.stack(read(lam) for lam in nodes)[:, None]
+                return -_moments_at(rows, temps[lanes])[3] / t_sq[lanes]
 
-            for j, got in _simpson_lanes(integrand, a, b, live,
-                                         "isothermal entropy change").items():
-                prev = done.get(j)
-                done[j] = got if prev is None or isinstance(got, QCaloricError) else (
-                    prev[0] + got[0], prev[1] + got[1], max(prev[2], got[2]))
-            live = np.array([j for j in live.tolist()
-                             if not isinstance(done[j], QCaloricError)], dtype=int)
+            live = _join_pieces(done, _clenshaw_curtis_lanes(
+                integrand, a, b, live, "isothermal entropy change"), live,
+                lambda prev, got: (prev[0] + got[0], prev[1] + got[1], max(prev[2], got[2])))
     for j, got in done.items():
         slots[j] = got if isinstance(got, QCaloricError) else CaloricResult(
             "entropy_change", got[0], lambda_i, lambda_f, float(temps[j]),
@@ -333,14 +372,16 @@ def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
     """dS_iso = -Int_{lambda_i}^{lambda_f} d<dH/dlambda>/dT dlambda, in k_B.
 
     The integrand is computed analytically as -Cov(dH/dlambda, H) / T^2 and
-    integrated by composite Simpson with interval doubling.
+    integrated by Clenshaw-Curtis quadrature on 8 * 2^L + 1 nested
+    Chebyshev-Lobatto nodes, doubling n until successive estimates differ
+    by < 1e-8 (absolute or relative).
 
     Raises
     ------
     NonPositiveTemperatureError
     NonFiniteParameterError
     QuadratureNoConvergenceError
-        After 16 interval doublings.
+        After 7 node doublings (n = 1 024).
     """
     return _single(isothermal_entropy_change_lanes(
         model, lambda_i, lambda_f, [temperature]))
@@ -358,154 +399,90 @@ def isothermal_entropy_change_direct(model: ParamHamiltonian, lambda_i: float,
                          temperature, "direct", 0.0, 0)
 
 
-def _positive_or_one(t: np.ndarray) -> np.ndarray:
-    """``t`` itself when every lane temperature is > 0, else a copy in which
-    the others (NaN included) are 1, so that their moments stay finite."""
-    return t if np.minimum.reduce(t) > 0 else np.where(t > 0, t, 1.0)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # a diverging lane stops on NaN
+def _picard(slopes, at, q: np.ndarray, half: float, t0: np.ndarray):
+    """Picard iteration u <- ln t0 + half * Q g(u) of u = ln T on one level's
+    nodes, lane by lane, from u = ln t0 at every node; node 0 holds t0.
+    ``slopes(at, t)`` returns du/dlambda for the lane temperatures ``t``
+    (node x lane) in one call, where each lane's guard fails, and
+    ``error(node, column)``. A lane stops once no node moves by
+    ``_PICARD_TOL``; the first failing node of its last iterate names its
+    error. Returns the node temperatures and per lane None or its error."""
+    u0 = np.log(t0)
+    u, t_nodes = np.tile(u0, (len(q), 1)), np.full((len(q), len(t0)), np.nan)
+    errors, live = [None] * len(t0), np.arange(len(t0))
+    for iteration in range(1, _PICARD_MAX_ITERATIONS + 1):
+        t = np.exp(u)
+        t[0] = t0[live]
+        g, bad, error = slopes(at, t)
+        new = u0[live] + half * _weighted_sum(q, g)
+        step = np.max(np.abs(new - u), axis=0)
+        done = step < _PICARD_TOL
+        stop = done | np.isnan(step) | (iteration == _PICARD_MAX_ITERATIONS)
+        t_nodes[:, live[stop]] = np.exp(new[:, stop])
+        for c in np.flatnonzero(stop & (~done | bad.any(0))).tolist():
+            failed = np.flatnonzero(bad[:, c])
+            errors[live[c]] = error(failed[0], c) if failed.size else OdeNoConvergenceError(
+                f"Picard iteration not converged after {iteration} iterations "
+                f"(last change {step[c]:.3e} in ln T)")
+        live, u = live[~stop], new[:, ~stop]
+        if not live.size:
+            break
+    t_nodes[0] = t0
+    return t_nodes, errors
 
 
-def _fail_lanes(failed: dict, lanes: np.ndarray, bad: np.ndarray, t: np.ndarray,
-                where: str, error) -> None:
-    """Record the error of each ``bad`` lane in ``failed``, unless it has one.
-
-    A lane whose temperature left the positive domain fails for that;
-    any other bad lane fails with ``error(j)``, j its position in ``bad``.
+def _picard_lanes(slopes, a: float, b: float, t_start: np.ndarray, lanes: np.ndarray, prepare):
+    """The isentrope as u = ln T on [a, b]: ``_picard`` on the levels of
+    ``_refine``, until successive end temperatures agree to 1e-9 K; T = e^u
+    stays > 0. ``prepare(nodes)`` is given each level's nodes and returns
+    what ``slopes`` reads; lanes index ``t_start``. Returns {lane: (T_f,
+    error, levels, path of the final level)}, or the lane's QCaloricError.
     """
-    for j in np.flatnonzero(bad).tolist():
-        lane = int(lanes[j])
-        if lane not in failed:
-            failed[lane] = error(j) if t[j] > 0 else NonPositiveTemperatureError(
-                f"temperature left the positive domain at {where}")
+    def step(level, live):
+        lams = _nodes(a, b, _BASE_NODES << level)
+        ts, errors = _picard(slopes, prepare(lams), _integration_matrix(len(lams) - 1),
+                             0.5 * (b - a), t_start[live])
+        return ts[-1], [err or tuple(zip(lams, path)) for err, path in zip(errors, ts.T.tolist())]
+
+    return _refine(step, lanes, lambda diff, _: diff < _ODE_TOL,
+                   lambda err: OdeNoConvergenceError(
+                       f"end temperature not stable after {_ODE_MAX_DOUBLINGS} node "
+                       f"doublings (last difference {err:.3e} K)"), _ODE_MAX_DOUBLINGS)
 
 
-def _isentrope_slopes(cache: _SpectralCache, lam: float, t: np.ndarray,
-                      lanes: np.ndarray, failed: dict) -> np.ndarray:
-    """dT/dlambda = T*Cov/var for the lane temperatures ``t`` at lam.
-
-    A lane that cannot go on gets NaN, and its error goes into ``failed``.
-    """
-    levels = cache.rows(lam)[0]
-    spread = float(levels[-1] - levels[0])
-    floor = _VARIANCE_FLOOR_REL * spread * spread if spread else math.inf
-    t_ok = _positive_or_one(t)
-    _, _, var, cov = cache.lanes(lam, t_ok)
-    if t_ok is t and np.minimum.reduce(var) >= floor:
-        return t * cov / var
-    bad = (var < floor) | ~(t > 0)
-    _fail_lanes(failed, lanes, bad, t, f"lambda = {lam:g}",
-                lambda j: DegenerateVarianceError(
-                    f"var[H] = {var[j]:.3e} at lambda = {lam:g}, T = {t[j]:g} K "
-                    "(flat spectrum or effectively infinite temperature)"))
-    return t * cov / np.where(bad, np.nan, var)
-
-
-def _rk4_lanes(slopes, lambda_i: float, lambda_f: float, t_start: np.ndarray,
-               lanes: np.ndarray, fill=lambda nodes: None):
-    """Integrate dT/dlambda by classical RK4 with step doubling, lane by lane.
-
-    ``slopes(lam, t, lanes, failed)`` returns dT/dlambda at lam for the
-    lane temperatures ``t`` (lanes index ``t_start``) and records the lanes
-    that cannot go on in ``failed``. A pass of n steps, h = (lambda_f -
-    lambda_i) / n, reads the nodes lambda_i + (h/2) * k for k < 2n and
-    lambda_f itself, the rule of ``_simpson_lanes``; ``fill(nodes)`` is given
-    them before the pass reads them. Step s takes k1 at node 2s - 2, k2 and
-    k3 at node 2s - 1 and k4 at node 2s, and the path is every other node.
-    n is 16 * 2^level, so each node of a pass is a node of the next, bit for
-    bit, and a final pass of n steps costs 2n + 1 lambda nodes in all.
-
-    A lane doubles its step count until successive end temperatures agree to
-    1e-9 K and is then frozen; later passes integrate only the active lanes.
-    A failed lane carries NaN to the end of its pass (a pass in which every
-    lane failed stops there) and is dropped with the first error it met.
-    Returns {lane: (T_f, error, doublings, path of the final pass)}, or the
-    lane's QCaloricError.
-    """
-    out = {}
-    if not lanes.size:
-        return out
-
-    def integrate(n_steps: int):
-        h = (lambda_f - lambda_i) / n_steps
-        half, sixth = h / 2.0, h / 6.0
-        nodes = [lambda_i + half * k for k in range(2 * n_steps)] + [lambda_f]
-        fill(nodes)
-        t = t_start[lanes]
-        ts = np.full((n_steps + 1, len(lanes)), np.nan)   # node temperatures per lane
-        ts[0] = t
-        failed_before = len(out)
-        for step in range(1, n_steps + 1):
-            if len(out) - failed_before == len(lanes):
-                break
-            mid = nodes[2 * step - 1]
-            k1 = slopes(nodes[2 * step - 2], t, lanes, out)
-            k2 = slopes(mid, t + half * k1, lanes, out)
-            k3 = slopes(mid, t + half * k2, lanes, out)
-            k4 = slopes(nodes[2 * step], t + h * k3, lanes, out)
-            t = t + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ts[step] = t
-        alive = np.array([lane not in out for lane in lanes.tolist()], dtype=bool)
-        return alive, nodes[::2], ts
-
-    try:
-        n = 16
-        alive, _, ts = integrate(n)
-        lanes, t_end = lanes[alive], ts[-1, alive]
-        for level in range(1, _ODE_MAX_DOUBLINGS + 1):
-            if not lanes.size:
-                return out
-            n *= 2
-            alive, lams, ts = integrate(n)
-            diff = np.abs(ts[-1] - t_end)
-            done = alive & (diff < _ODE_TOL)
-            for j in np.flatnonzero(done).tolist():
-                out[int(lanes[j])] = (float(ts[-1, j]), float(diff[j]), level,
-                                      tuple(zip(lams, ts[:, j].tolist())))
-            keep = alive & ~done
-            lanes, t_end, diff = lanes[keep], ts[-1, keep], diff[keep]
-        for lane, err in zip(lanes.tolist(), diff.tolist()):
-            out[lane] = OdeNoConvergenceError(
-                f"RK4 end temperature not stable after {_ODE_MAX_DOUBLINGS} "
-                f"doublings (last difference {err:.3e} K)")
-    except QCaloricError as exc:
-        for lane in lanes.tolist():
-            out.setdefault(lane, exc)
-    return out
-
-
-def _classical_slopes(cache: _SpectralCache, lattice: LatticeHeatSpec, lam: float,
-                      t: np.ndarray, lanes: np.ndarray, failed: dict) -> np.ndarray:
-    """dT/db = Cov / (T * (c_B + c_l)) for the lane temperatures ``t`` at b = lam.
-
-    Lanes fail as in ``_isentrope_slopes``.
-    """
-    t_ok = _positive_or_one(t)
-    _, _, var, cov = cache.lanes(lam, t_ok)
-    c_total = var / (t_ok * t_ok) + lattice(t_ok)
-    if t_ok is t and np.minimum.reduce(c_total) >= 1e-14:
-        return cov / (t * c_total)   # T/(c_B+c_l) * cov/T^2
-    bad = (c_total < 1e-14) | ~(t > 0)
-    _fail_lanes(failed, lanes, bad, t, f"b = {lam:g}",
-                lambda j: ZeroTotalHeatError(
-                    f"c_B + c_l = {c_total[j]:.3e} at b = {lam:g}, T = {t[j]:g} K"))
-    return cov / (t * np.where(bad, np.nan, c_total))
+def _slopes(lattice: Optional[LatticeHeatSpec], at, t: np.ndarray):
+    """du/dlambda = Cov / (var + T^2 c_l) at the nodes ``at`` = (lambdas, rows),
+    c_l = 0 without a ``lattice``; the guard is var[H] >= 1e-14 (E_max -
+    E_min)^2, or c_B + c_l >= 1e-14 with c_B = var / T^2 on the classical one."""
+    lams, rows = at
+    _, _, var, cov = _moments_at(rows, t)
+    if lattice is None:
+        spread = rows[..., 0, -1] - rows[..., 0, 0]
+        guard, heat, error = var, var, DegenerateVarianceError
+        floor = np.where(spread > 0, _VARIANCE_FLOOR_REL * spread * spread, np.inf)
+        text = ("var[H] = {:.3e} at lambda = {:g}, T = {:g} K (flat spectrum, populations "
+                "frozen in the ground state, or effectively infinite temperature)")
+    else:
+        c_l = lattice(t)
+        guard, heat, error = var / (t * t) + c_l, var + t * t * c_l, ZeroTotalHeatError
+        floor, text = 1e-14, "c_B + c_l = {:.3e} at b = {:g}, T = {:g} K"
+    return (cov / np.where(heat > 0, heat, np.inf), guard < floor,
+            lambda k, c: error(text.format(guard[k, c], lams[k], t[k, c])))
 
 
 def adiabatic_temperature_change_lanes(
         model: ParamHamiltonian, lambda_i: float, lambda_f: float, temperatures,
         lattice: Optional[LatticeHeatSpec] = None) -> list:
     """``adiabatic_temperature_change`` from each of ``temperatures``, or
-    with a ``lattice`` ``classical_adiabatic_temperature_change``,
-    integrated as the lanes of one RK4 adiabat.
-
-    The lanes share the lambda nodes and one spectral cache, so each node
-    is diagonalized once for all start temperatures. Each lane stops at its
-    own refinement level and equals the single-temperature call bit for
-    bit, path included. Returns one entry per temperature: its
-    CaloricResult, or the QCaloricError its single call raises. On a model
-    with breakpoints each piece between them is integrated on its own, each
-    lane starting a piece from its converged end temperature of the one
-    before; the error estimates add up, the level is the deepest one and
-    the paths are joined.
+    with a ``lattice`` ``classical_adiabatic_temperature_change``, as the
+    lanes of one adiabat that share the lambda nodes and one spectral
+    cache. Each lane equals its single-temperature call bit for bit, path
+    included: one entry per temperature, its CaloricResult or the
+    QCaloricError its single call raises. Pieces between breakpoints are
+    integrated one by one, each lane entering a piece at its end
+    temperature of the one before; error estimates add up, the level is
+    the deepest and the paths are joined.
     """
     temps, slots, live = _open_lanes(temperatures, "T_start", lambda_i, lambda_f)
     if lattice is not None and model.parameter_name != "b":
@@ -516,23 +493,17 @@ def adiabatic_temperature_change_lanes(
                 for j in live.tolist()}
     else:
         cache = _SpectralCache(model)
-        slopes = (functools.partial(_isentrope_slopes, cache) if lattice is None
-                  else functools.partial(_classical_slopes, cache, lattice))
+        slopes = functools.partial(_slopes, lattice)
         done, t_start = {}, temps.copy()
         for a, b, read in _pieces(model, lambda_i, lambda_f):
-            piece = _rk4_lanes(lambda lam, *rest, read=read: slopes(read(lam), *rest),
-                               a, b, t_start, live,
-                               lambda nodes, read=read: cache.fill(map(read, nodes)))
-            for j, got in piece.items():
-                prev = done.get(j)
-                if isinstance(got, QCaloricError):
-                    done[j] = got
-                    continue
-                done[j] = got if prev is None else (
-                    got[0], prev[1] + got[1], max(prev[2], got[2]), prev[3] + got[3][1:])
-                t_start[j] = got[0]
-            live = np.array([j for j in live.tolist()
-                             if not isinstance(done[j], QCaloricError)], dtype=int)
+            def prepare(nodes, read=read):
+                at = [read(lam) for lam in nodes]
+                return at, cache.stack(at)[:, None]
+
+            live = _join_pieces(done, _picard_lanes(slopes, a, b, t_start, live, prepare), live,
+                                lambda prev, got: (got[0], prev[1] + got[1], max(prev[2], got[2]),
+                                                   prev[3] + got[3][1:]))
+            t_start[live] = [done[j][0] for j in live.tolist()]
     for j, got in done.items():
         slots[j] = got if isinstance(got, QCaloricError) else CaloricResult(
             "temperature_change", float(got[0] - temps[j]), lambda_i, lambda_f,
@@ -544,17 +515,21 @@ def adiabatic_temperature_change(model: ParamHamiltonian, lambda_i: float,
                                  lambda_f: float, T_start: float) -> CaloricResult:
     """dT_ad by integrating the isentrope dT/dlambda = T*Cov(dH/dlambda,H)/var[H].
 
-    Classical 4th-order Runge-Kutta with step doubling to 1e-9 K; the
-    result's ``path`` carries the final (lambda, T) trajectory so entropy
-    conservation can be audited.
+    Integrates u = ln T, du/dlambda = Cov/var, by Chebyshev-Picard iteration
+    on 8 * 2^L + 1 nested Chebyshev-Lobatto nodes until no node moves by
+    1e-11 in ln T, doubling n until successive end temperatures agree to
+    1e-9 K; T = e^u stays positive. ``path`` holds the final level's nodes
+    and temperatures, so that entropy conservation can be audited.
 
     Raises
     ------
     NonPositiveTemperatureError
     NonFiniteParameterError
     DegenerateVarianceError
-        var[H] below 1e-14 * (E_max - E_min)^2 anywhere along the path.
+        var[H] below 1e-14 * (E_max - E_min)^2 at a node of the converged
+        iterate (the first in path order is named).
     OdeNoConvergenceError
+        After 100 Picard iterations or 7 node doublings (n = 1 024).
     """
     return _single(adiabatic_temperature_change_lanes(
         model, lambda_i, lambda_f, [T_start]))
@@ -610,14 +585,16 @@ def classical_adiabatic_temperature_change(model: ParamHamiltonian,
     ``c_B = var[H]/T^2`` is the magnetic specific heat and
     ``d<dH/db>/dT = -dM/dT`` by the covariance identity. With c_l = 0 this
     is exactly the quantum isentrope equation; a large lattice term pins the
-    temperature.
+    temperature. The Chebyshev-Picard scheme of
+    ``adiabatic_temperature_change`` runs on du/db = Cov / (var + T^2 c_l).
 
     Raises
     ------
     NoZeemanTermError
         Working parameter is not the field.
     ZeroTotalHeatError
-        c_B + c_l below 1e-14 somewhere on the path.
+        c_B + c_l below 1e-14 at a node of the converged iterate.
+    OdeNoConvergenceError
     """
     return _single(adiabatic_temperature_change_lanes(
         model, b_i, b_f, [T_start], lattice))

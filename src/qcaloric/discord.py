@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caloric import _simpson_lanes, _SpectralCache
+from .caloric import _clenshaw_curtis_lanes, _SpectralCache
 from .errors import (
     AnisotropicStateError,
     NegativeSusceptibilityError,
@@ -27,7 +27,8 @@ from .errors import (
 # hermitian_eigen is not called here; the benchmark's tracer checks this binding
 from .linalg import hermitian_eigen, kron, spin_half_operators  # noqa: F401
 from .models import build_dimer
-from .thermal import _require_lambda, _require_temperature, thermal_average, thermal_state
+from .thermal import (_moments_at, _require_lambda, _require_temperature, thermal_average,
+                      thermal_state)
 
 _ISOTROPY_TOL = 1e-8
 
@@ -119,9 +120,9 @@ def discord_from_susceptibility(chi: float, T: float) -> float:
     return 0.5 * abs(2.0 * T * chi - 1.0)
 
 
-def _discord_slopes(cache: _SpectralCache, J: float, temps: np.ndarray) -> np.ndarray:
-    """dD/dT at J for each of ``temps``: -sign(J) * Cov(dH/dJ, H) / (6 T^2)."""
-    return (-1.0 if J > 0 else 1.0) * cache.lanes(J, temps)[3] / (6.0 * temps * temps)
+def _discord_slopes(J: float, cov: np.ndarray, temperature: float) -> np.ndarray:
+    """dD/dT at J from Cov(dH/dJ, H) there: -sign(J) * Cov / (6 T^2)."""
+    return (-1.0 if J > 0 else 1.0) * cov / (6.0 * temperature * temperature)
 
 
 def discord_temperature_derivative(J: float, T: float) -> float:
@@ -133,13 +134,13 @@ def discord_temperature_derivative(J: float, T: float) -> float:
     _require_temperature(T)
     _require_lambda(J)
     cache = _SpectralCache(build_dimer(J=J, b=0.0, parameter="J"))
-    return float(_discord_slopes(cache, J, np.array([float(T)]))[0])
+    return float(_discord_slopes(J, cache.lanes(J, np.array([float(T)]))[3][0], T))
 
 
 def entropy_change_from_discord(J_i: float, J_f: float, T: float) -> float:
     """|dS_iso| = 6 * Int_{J_i}^{J_f} dD/dT dJ, in k_B (magnitude).
 
-    Same Simpson-with-doubling contract as the entropy-change quadrature.
+    Same Clenshaw-Curtis contract as the entropy-change quadrature.
     The sweep may not straddle J = 0, where |c| is not differentiable; the
     sign of the entropy change is recovered from the direct lambda = J
     entropy-change operation.
@@ -162,11 +163,10 @@ def entropy_change_from_discord(J_i: float, J_f: float, T: float) -> float:
     cache = _SpectralCache(build_dimer(J=J_i, b=0.0, parameter="J"))
 
     def integrand(nodes, lanes):
-        cache.fill(nodes)
-        return [_discord_slopes(cache, j, np.array([float(T)])) for j in nodes]
+        return _discord_slopes(J_i, _moments_at(cache.stack(nodes)[:, None], np.array([T]))[3], T)
 
-    got = _simpson_lanes(integrand, J_i, J_f, np.zeros(1, dtype=int),
-                         "discord-integral entropy change")[0]
+    got = _clenshaw_curtis_lanes(integrand, J_i, J_f, np.zeros(1, dtype=int),
+                                 "discord-integral entropy change")[0]
     if isinstance(got, QCaloricError):
         raise got
     return abs(6.0 * got[0])

@@ -59,11 +59,11 @@ class EmptyPathError(QCaloricError):
 # --- caloric potentials -----------------------------------------------------
 
 class QuadratureNoConvergenceError(QCaloricError):
-    """Interval-doubling Simpson quadrature exhausted its refinement budget."""
+    """Node-doubling Clenshaw-Curtis quadrature exhausted its refinement budget."""
 
 
 class OdeNoConvergenceError(QCaloricError):
-    """Step-doubling Runge-Kutta integration exhausted its refinement budget."""
+    """Chebyshev-Picard adiabat exhausted its iteration or refinement budget."""
 
 
 class DegenerateVarianceError(QCaloricError):

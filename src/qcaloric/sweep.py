@@ -4,12 +4,12 @@ scenario's (lambda, T) grids and gather curves.
 The endpoint computations (entropy, adiabatic, classical_adiabatic) run
 their temperatures as lanes of one integration: the lanes share the lambda
 nodes and one spectral cache, so each node is diagonalized once, not once
-per temperature, and the nodes of a Simpson level or an RK4 pass are
-diagonalized together. Both place their nodes by one rule, lambda_i +
-step * k, so each refinement reuses every node of the one before. Each lane
-keeps its own convergence level, and every point equals the
-single-temperature public call bit for bit; the force computation takes
-them as lanes of each lambda.
+per temperature, and the nodes of a level are diagonalized together. Both
+read nested Chebyshev-Lobatto nodes, so each refinement reuses every node of
+the one before. Each lane keeps its own convergence level, and every point
+equals the single-temperature public call bit for bit; the force
+computation takes them as lanes of each lambda, and the decompose strokes
+of all temperatures read one cache.
 
 Sweeps run on the calling thread. Every model here is small enough that
 numpy holds the interpreter lock throughout, so worker threads only
@@ -42,7 +42,7 @@ from .curves import Curve, CurveSet
 from .discord import pair_correlation
 from .errors import ComputationError, QCaloricError
 from .scenario import Scenario, build_model
-from .thermal import _require_lambda, _require_temperature, process_decompose
+from .thermal import _decompose, _require_lambda, _require_temperature
 
 
 def thread_count() -> int:
@@ -165,7 +165,9 @@ def run_sweep(scenario: Scenario, *,
                     name=f"force_T={t:g}", abscissa_unit="K", value_unit="K_per_lambda",
                     points=tuple((lam, y, 0.0) for lam, y in zip(lams, values))))
         elif comp == "decompose":
-            stroke = _wrap(lambda t: process_decompose(model, [(lam_i, t), (lam_f, t)]),
+            # one cache for every temperature: the strokes share their lambda nodes
+            cache = _SpectralCache(model)
+            stroke = _wrap(lambda t: _decompose(cache, [(lam_i, t), (lam_f, t)]),
                            comp, lam_desc)
             results = [stroke(t) for t in temps]
             for name, pick in (("work", lambda d: (d.work, d.error_estimate)),

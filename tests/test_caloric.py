@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from qcaloric import caloric
 from qcaloric.caloric import (
     LatticeHeatSpec,
     adiabatic_temperature_change,
@@ -18,6 +20,7 @@ from qcaloric.errors import (
     DegenerateVarianceError,
     NonPositiveTemperatureError,
     NoZeemanTermError,
+    OdeNoConvergenceError,
     ZeroTotalHeatError,
 )
 from qcaloric.models import (
@@ -203,12 +206,36 @@ class TestAdiabaticTemperatureChange:
     @pytest.mark.parametrize("lam_i, lam_f", [(0.5037, 1.4963), (1.4963, 0.5037),
                                               (0.3, 1.7)])
     def test_path_lambdas_are_exact_grid_nodes(self, lam_i, lam_f):
-        # every path lambda is a node of the grid, which the next refinement shares bit for bit
+        # the path is the final level's Lobatto nodes, ends exact; every node of
+        # a level is, bit for bit, a node of the next, so a refinement reuses it
         model = build_dimer(J=1.0, b=0.3, parameter="J")
-        path = adiabatic_temperature_change(model, lam_i, lam_f, 1.0).path
-        h = (lam_f - lam_i) / (len(path) - 1)
-        assert [lam for lam, _ in path[:-1]] == [lam_i + k * h for k in range(len(path) - 1)]
-        assert path[-1][0] == lam_f
+        res = adiabatic_temperature_change(model, lam_i, lam_f, 1.0)
+        n = 8 * 2 ** res.refinement_levels
+        assert [lam for lam, _ in res.path] == caloric._nodes(lam_i, lam_f, n)
+        assert res.path[0] == (lam_i, 1.0) and res.path[-1][0] == lam_f
+        for level in range(8):
+            n = 8 * 2 ** level
+            assert caloric._nodes(lam_i, lam_f, n) == caloric._nodes(lam_i, lam_f, 2 * n)[::2]
+
+    @pytest.mark.parametrize("lam_i, lam_f, t", [
+        (0.5, 1.5, 0.08), (0.3, 2.0, 0.05), (0.5, 1.5, 0.1), (0.5, 1.5, 1.0),
+        (0.5, 1.5, 10.0), (0.5, 1.5, 100.0)])
+    def test_zero_field_dimer_isentrope_is_exact_at_every_temperature(self, lam_i, lam_f, t):
+        # b = 0: S depends on J/T only, so T_f = T J_f / J_i (dT = 2T for 0.5 -> 1.5).
+        # On raw moments the adiabat took 2.0 s at T = 0.08 and was off by
+        # 2.3e-7 relative, and 2.6 s at 0.3 -> 2.0, T = 0.05
+        model = build_dimer(J=1.0, b=0.0, parameter="J")
+        start = time.perf_counter()
+        res = adiabatic_temperature_change(model, lam_i, lam_f, t)
+        elapsed = time.perf_counter() - start
+        assert res.value == pytest.approx(t * (lam_f / lam_i - 1.0), rel=1e-10, abs=0.0)
+        assert elapsed < 0.1
+
+    def test_picard_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(caloric, "_PICARD_MAX_ITERATIONS", 1)
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        with pytest.raises(OdeNoConvergenceError, match="not converged after 1 iterations"):
+            adiabatic_temperature_change(model, 0.5, 1.5, 1.0)
 
     def test_degenerate_variance_flat_spectrum(self):
         model = constant_spectrum_model(levels=(1.0, 1.0, 1.0))

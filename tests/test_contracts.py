@@ -71,16 +71,16 @@ def counting_model(model=None):
 
 
 @pytest.mark.parametrize("route, budget", [
-    (lambda m: isothermal_entropy_change(m, 0.5, 1.5, 1.0), 129),
+    (lambda m: isothermal_entropy_change(m, 0.5, 1.5, 1.0), 33),
     (lambda m: isothermal_entropy_change_direct(m, 0.5, 1.5, 1.0), 2),
-    (lambda m: adiabatic_temperature_change(m, 0.5, 1.5, 1.0), 257),
+    (lambda m: adiabatic_temperature_change(m, 0.5, 1.5, 1.0), 33),
     (lambda m: adiabatic_temperature_change_matching(m, 0.5, 1.5, 1.0), 2),
     (lambda m: generalized_force(m, 0.7, 1.0), 1),
     (lambda m: maxwell_residual(m, 0.7, 1.0), 3),
-    (lambda m: process_decompose(m, [(0.5, 4.0), (1.5, 4.0)]), 129),
-    (lambda m: process_decompose(m, [(0.5, 1.0), (1.5, 1.0)]), 513),
-    (lambda m: adiabatic_temperature_change(m, 0.5037, 1.4963, 1.0), 257),
-    (lambda m: adiabatic_temperature_change(m, 1.4963, 0.5037, 1.0), 257),
+    (lambda m: process_decompose(m, [(0.5, 4.0), (1.5, 4.0)]), 17),
+    (lambda m: process_decompose(m, [(0.5, 1.0), (1.5, 1.0)]), 33),
+    (lambda m: adiabatic_temperature_change(m, 0.5037, 1.4963, 1.0), 33),
+    (lambda m: adiabatic_temperature_change(m, 1.4963, 0.5037, 1.0), 33),
 ], ids=["quadrature", "direct", "ode", "matching", "force", "maxwell", "decompose",
         "decompose_pinned_T1", "ode_non_dyadic", "ode_non_dyadic_reversed"])
 def test_eigensolve_budget(route, budget):
@@ -92,11 +92,11 @@ def test_eigensolve_budget(route, budget):
 
 
 @pytest.mark.parametrize("kernel, budget", [
-    (isothermal_entropy_change_lanes, 257),
-    (adiabatic_temperature_change_lanes, 513),
+    (isothermal_entropy_change_lanes, 33),
+    (adiabatic_temperature_change_lanes, 33),
     # the endpoints of the benchmark's dimer sweep, in place of 0.5 -> 1.5
     (lambda m, _i, _f, temps: adiabatic_temperature_change_lanes(m, 0.5037, 1.4963, temps),
-     513),
+     33),
 ], ids=["quadrature_lanes", "ode_lanes", "ode_lanes_non_dyadic"])
 def test_lane_kernel_eigensolve_budget(kernel, budget):
     # 25 temperatures share the lambda nodes: the deepest lane sets the count
@@ -174,7 +174,7 @@ def test_discord_entropy_change_builds_one_dimer(monkeypatch):
     monkeypatch.setattr(discord, "build_dimer", counting_build)
     entropy_change_from_discord(0.5, 1.5, 1.0)
     assert built == [{"J": 0.5, "b": 0.0, "parameter": "J"}]
-    # each Simpson node is diagonalized once
+    # each quadrature node is diagonalized once
     assert len(calls[0]) == len(set(calls[0])) > 3
 
 
@@ -214,8 +214,9 @@ def test_sweeps_run_on_the_calling_thread_by_default(value, monkeypatch):
 @pytest.mark.parametrize("temps", [[1.0], np.linspace(0.25, 5.0, 25).tolist()],
                          ids=["one_lane", "25_lanes"])
 def test_each_level_or_pass_is_one_stacked_call_per_block(kernel, temps, monkeypatch):
-    # Simpson fills its 3 first nodes, then the new nodes of each level; RK4
-    # fills the nodes of each pass; a fill stacks at most _FILL_BLOCK matrices
+    # the quadrature fills its 9 first nodes, then the new nodes of each level;
+    # the adiabat fills the nodes of each level; a fill stacks at most
+    # _FILL_BLOCK matrices
     fills, stacks = [], []
     real_fill, real_stack = caloric._SpectralCache.fill, caloric.hermitian_eigen_stack
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from qcaloric import caloric
+from qcaloric import caloric, sweep
 from qcaloric.caloric import (
     adiabatic_temperature_change,
     adiabatic_temperature_change_lanes,
@@ -174,3 +174,25 @@ def test_sweep_writes_the_work_error_estimate():
         d = process_decompose(PINNED, [(0.5, t), (1.5, t)])
         assert (w, w_err, q_err, du_err) == (d.work, d.error_estimate, d.error_estimate, 0.0)
     assert "0.00000000000e+00" not in render_csv(work)
+
+
+def test_decompose_sweep_shares_one_cache_across_temperatures(monkeypatch):
+    # T = 1, 4 and 7 read nested Lobatto nodes of one stroke: each distinct
+    # lambda is built once, and the deepest temperature's nodes hold the others'
+    model, calls = counted(PINNED)
+    monkeypatch.setattr(sweep, "build_model", lambda scenario: model)
+    work, heat, energy = run_sweep(parse_scenario("""{
+      "model": {"kind": "dimer", "J": 0.5, "b": 0.3}, "parameter": "J",
+      "sweep": {"from": 0.5, "to": 1.5, "points": 2},
+      "temperatures": {"from": 1.0, "to": 7.0, "points": 3},
+      "computations": ["decompose"], "output": {"csv": "out.csv"}
+    }"""))
+    assert len(calls) == len(set(calls))
+    alone = []
+    for t, w, q, du in zip((1.0, 4.0, 7.0), work.points, heat.points, energy.points):
+        single, seen = counted(PINNED)
+        d = process_decompose(single, [(0.5, t), (1.5, t)])
+        alone.append(set(seen))
+        assert (w, q, du) == ((t, d.work, d.error_estimate), (t, d.heat, d.error_estimate),
+                              (t, d.energy_change, 0.0))
+    assert set(calls) == set.union(*alone) == max(alone, key=len)

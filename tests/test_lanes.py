@@ -9,7 +9,7 @@ import pytest
 
 from qcaloric.caloric import (
     LatticeHeatSpec,
-    _rk4_lanes,
+    _picard_lanes,
     adiabatic_temperature_change,
     adiabatic_temperature_change_lanes,
     classical_adiabatic_temperature_change,
@@ -119,8 +119,9 @@ def test_sweep_error_names_the_failing_temperature(threads, monkeypatch):
     with pytest.raises(ComputationError) as err:
         run_sweep(scenario(DIMER, "J", J_I, J_F, FAILING, ["adiabatic"]))
     assert str(err.value) == (
-        "adiabatic failed at T = 0.05 K, sweep 0.5037 -> 1.4963: var[H] = 3.553e-15 "
-        "at lambda = 0.5037, T = 0.05 K (flat spectrum or effectively infinite temperature)")
+        "adiabatic failed at T = 0.05 K, sweep 0.5037 -> 1.4963: var[H] = 3.761e-15 "
+        "at lambda = 0.5037, T = 0.05 K (flat spectrum, populations frozen in the ground "
+        "state, or effectively infinite temperature)")
     assert isinstance(err.value.__cause__, DegenerateVarianceError)
 
 
@@ -131,8 +132,9 @@ def test_sweep_error_names_the_lowest_failing_temperature(monkeypatch):
         run_sweep(scenario(DIMER, "J", J_I, J_F, {"from": 0.03, "to": 0.05, "points": 3},
                            ["adiabatic"]))
     assert str(err.value) == (
-        "adiabatic failed at T = 0.03 K, sweep 0.5037 -> 1.4963: var[H] = 0.000e+00 "
-        "at lambda = 0.5037, T = 0.03 K (flat spectrum or effectively infinite temperature)")
+        "adiabatic failed at T = 0.03 K, sweep 0.5037 -> 1.4963: var[H] = 4.407e-25 "
+        "at lambda = 0.5037, T = 0.03 K (flat spectrum, populations frozen in the ground "
+        "state, or effectively infinite temperature)")
 
 
 def test_failing_lanes_carry_their_single_temperature_errors():
@@ -147,22 +149,22 @@ def test_failing_lanes_carry_their_single_temperature_errors():
             assert type(lane) is DegenerateVarianceError and str(lane) == str(err.value)
 
 
-def decay_slopes(fail_lane, fail_from):
-    """dT/dlambda = -T; ``fail_lane`` fails once lambda passes ``fail_from``."""
-    def slopes(lam, t, lanes, failed):
-        out = -t
-        if lam > fail_from and fail_lane in lanes:
-            failed.setdefault(fail_lane, DegenerateVarianceError(f"lane {fail_lane}"))
-            out[list(lanes).index(fail_lane)] = np.nan
-        return out
+def decay_slopes(fail_start, fail_from):
+    """du/dlambda = -1 (T = T_start e^-lambda); the lane starting at
+    ``fail_start`` fails its guard at every node past ``fail_from``."""
+    def slopes(lams, t):
+        bad = (np.array(lams)[:, None] > fail_from) & (t[:1] == fail_start)
+        return (np.full(t.shape, -1.0), bad,
+                lambda k, c: DegenerateVarianceError(f"T_start {t[0, c]:g} at {lams[k]:.3f}"))
     return slopes
 
 
 def test_a_lane_failing_mid_path_leaves_the_others_untouched():
     starts = np.array([1.0, 2.0, 3.0])
-    mixed = _rk4_lanes(decay_slopes(1, 0.5), 0.0, 1.0, starts, np.arange(3))
-    alone = _rk4_lanes(decay_slopes(1, 0.5), 0.0, 1.0, starts, np.array([0, 2]))
-    assert str(mixed[1]) == "lane 1"
+    mixed = _picard_lanes(decay_slopes(2.0, 0.5), 0.0, 1.0, starts, np.arange(3), list)
+    alone = _picard_lanes(decay_slopes(2.0, 0.5), 0.0, 1.0, starts, np.array([0, 2]), list)
+    # named at the first failing node in path order
+    assert str(mixed[1]) == "T_start 2 at 0.691"
     assert mixed[0] == alone[0] and mixed[2] == alone[2]
     for lane in (0, 2):
         assert mixed[lane][0] == pytest.approx(starts[lane] * np.exp(-1.0), rel=1e-9)
