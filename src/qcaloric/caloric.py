@@ -20,8 +20,9 @@ Every potential ships with an independent oracle: the state-function entropy
 difference for dS_iso, and entropy-matching root finding for dT_ad.
 
 dS_iso (Clenshaw-Curtis) and the adiabat (Picard iteration on u = ln T)
-read one grid, the nested Chebyshev-Lobatto nodes of each piece of the path,
-and integrate temperatures as lanes: the ``*_lanes`` routes share the nodes
+read one grid, the nested Chebyshev-Lobatto nodes of each piece of the path
+(the adiabat halves a piece it cannot walk whole), and integrate
+temperatures as lanes: the ``*_lanes`` routes share the nodes
 among a temperature array, each lane keeping its own refinement level, and
 the single-temperature routes are their one-lane case.
 """
@@ -51,8 +52,9 @@ from .thermal import (_moments_at, _require_lambda, _require_temperature, _spect
                       entropy_from_populations, populations_from_levels)
 
 _BASE_NODES = 8           # Lobatto intervals of level 0; level L has 8 * 2^L
-# 1 025 nodes at most: the integration matrix of a level holds (n + 1)^2 floats
-_QUAD_MAX_DOUBLINGS = _ODE_MAX_DOUBLINGS = 7
+_QUAD_MAX_DOUBLINGS = 14  # n = 131 072
+_ODE_MAX_DOUBLINGS = 7    # n = 1 024: the integration matrix holds (n + 1)^2 floats
+_ODE_MAX_BISECTIONS = 16  # an adiabat piece is halved at most this often
 _QUAD_TOL = 1e-8          # successive-estimate tolerance, absolute and relative
 _ODE_TOL = 1e-9           # kelvin, successive end-temperature difference
 _PICARD_TOL = 1e-11       # largest change of ln T at a node between iterates
@@ -109,9 +111,7 @@ class _SpectralCache:
     refinement levels and temperature lanes revisit a node, which is
     diagonalized once. ``fill`` diagonalizes many nodes in stacked LAPACK
     calls, and ``stack`` returns a level's rows as one array for
-    ``thermal._moments_at``. ``lanes`` reads one node at an array of T;
-    ``force`` is its one-lane view, and ``entropy`` the one-lane view of
-    ``populations_from_levels``."""
+    ``thermal._moments_at``. ``force`` and ``entropy`` read one node at one T."""
 
     def __init__(self, model: ParamHamiltonian):
         self.model = model
@@ -157,15 +157,11 @@ class _SpectralCache:
         self.fill(lams)
         return np.array([self.rows(lam) for lam in lams])
 
-    def lanes(self, lam: float, temps: np.ndarray):
-        """(<E>, <dH/dlambda>, var[H], Cov(dH/dlambda, H)) at lam, one entry per T."""
-        return _moments_at(self.rows(lam), temps)
-
     def entropy(self, lam: float, temperature: float) -> float:
         return entropy_from_populations(populations_from_levels(self.rows(lam)[0], temperature)[0])
 
     def force(self, lam: float, temperature: float) -> float:
-        return -float(self.lanes(lam, np.array([temperature]))[1][0])
+        return -float(_moments_at(self.rows(lam), np.array([temperature]))[1][0])
 
 
 def _open_lanes(temperatures, name: str, *lambdas: float):
@@ -244,7 +240,7 @@ def _integration_matrix(n: int) -> np.ndarray:
     """Q[k, j] = Int_{-1}^{x_k} l_j, l_j the Lagrange polynomial of Lobatto
     point j, stored as an (n + 1, n + 1, 1) array indexed [j, k]: Q g
     integrates the interpolant of g from -1 to every point (Clenshaw &
-    Norton 1963), and Q[n] holds the Clenshaw-Curtis weights."""
+    Norton 1963)."""
     k = np.arange(n + 1)
     cheb = np.cos(np.pi / n * (np.outer(k[::-1], np.arange(n + 2)) % (2 * n)))   # T_m(x_k)
     ends = np.where((k == 0) | (k == n), 0.5, 1.0)
@@ -253,6 +249,18 @@ def _integration_matrix(n: int) -> np.ndarray:
     up[0] = 1.0
     anti = cheb[:, 1:] * up - cheb[:, abs(k - 1)] * down   # Int T_m up to a constant
     return np.ascontiguousarray(((anti - anti[0]) @ coeffs).T)[:, :, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _clenshaw_curtis_weights(n: int) -> np.ndarray:
+    """The Clenshaw-Curtis weights of the n + 1 Lobatto points: the exact
+    integrals 2 / (1 - m^2) of the even T_m, cosine-transformed by one real
+    FFT of their even extension (Waldvogel 2006), O(n log n) with no matrix."""
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2.0)
+    weights = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real / n
+    weights[[0, -1]] *= 0.5
+    return weights
 
 
 def _weighted_sum(coefs, rows: np.ndarray) -> np.ndarray:
@@ -299,7 +307,7 @@ def _clenshaw_curtis_lanes(f, a: float, b: float, lanes: np.ndarray, what: str,
     cache that diagonalizes the new nodes together."""
     def step(level, live):
         n = _BASE_NODES << level
-        return (0.5 * (b - a) * _weighted_sum(_integration_matrix(n)[:, -1],
+        return (0.5 * (b - a) * _weighted_sum(_clenshaw_curtis_weights(n)[:, None],
                                               f(_nodes(a, b, n), live)), [None] * len(live))
 
     return _refine(step, lanes, lambda diff, est: diff < np.maximum(tol, tol * np.abs(est)),
@@ -381,7 +389,7 @@ def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
     NonPositiveTemperatureError
     NonFiniteParameterError
     QuadratureNoConvergenceError
-        After 7 node doublings (n = 1 024).
+        After 14 node doublings (n = 131 072).
     """
     return _single(isothermal_entropy_change_lanes(
         model, lambda_i, lambda_f, [temperature]))
@@ -451,6 +459,33 @@ def _picard_lanes(slopes, a: float, b: float, t_start: np.ndarray, lanes: np.nda
                        f"doublings (last difference {err:.3e} K)"), _ODE_MAX_DOUBLINGS)
 
 
+def _join_walks(before, after):
+    """One lane's walk over two consecutive stretches: the end temperature of
+    the second, errors added, the deeper level, the paths joined."""
+    return after[0], before[1] + after[1], max(before[2], after[2]), before[3] + after[3][1:]
+
+
+def _walk(slopes, stretches, t_start: np.ndarray, lanes: np.ndarray, depth: int = 0) -> dict:
+    """``_picard_lanes`` over consecutive stretches (a, b, prepare), each lane
+    entering one at its end temperature of the one before. A lane that fails
+    a stretch walks its two halves instead, down to 2^-16 of it: halving
+    quarters the contraction Picard needs and shortens what the nodes must
+    resolve. A lane keeps its error where its model fails, where the start
+    point fails the guard (no walk moves it) or at the deepest half."""
+    done, t = {}, t_start.copy()
+    for a, b, prepare in stretches:
+        got = _picard_lanes(slopes, a, b, t, lanes, prepare)
+        retry = np.array([j for j in lanes.tolist() if isinstance(got[j], (
+            OdeNoConvergenceError, DegenerateVarianceError, ZeroTotalHeatError))], dtype=int)
+        if retry.size and depth < _ODE_MAX_BISECTIONS:
+            retry = retry[~slopes(prepare([a]), t[retry][None])[1][0]]
+            mid = 0.5 * (a + b)
+            got.update(_walk(slopes, [(a, mid, prepare), (mid, b, prepare)], t, retry, depth + 1))
+        lanes = _join_pieces(done, got, lanes, _join_walks)
+        t[lanes] = [done[j][0] for j in lanes.tolist()]
+    return done
+
+
 def _slopes(lattice: Optional[LatticeHeatSpec], at, t: np.ndarray):
     """du/dlambda = Cov / (var + T^2 c_l) at the nodes ``at`` = (lambdas, rows),
     c_l = 0 without a ``lattice``; the guard is var[H] >= 1e-14 (E_max -
@@ -493,17 +528,14 @@ def adiabatic_temperature_change_lanes(
                 for j in live.tolist()}
     else:
         cache = _SpectralCache(model)
-        slopes = functools.partial(_slopes, lattice)
-        done, t_start = {}, temps.copy()
-        for a, b, read in _pieces(model, lambda_i, lambda_f):
-            def prepare(nodes, read=read):
-                at = [read(lam) for lam in nodes]
-                return at, cache.stack(at)[:, None]
 
-            live = _join_pieces(done, _picard_lanes(slopes, a, b, t_start, live, prepare), live,
-                                lambda prev, got: (got[0], prev[1] + got[1], max(prev[2], got[2]),
-                                                   prev[3] + got[3][1:]))
-            t_start[live] = [done[j][0] for j in live.tolist()]
+        def prepare(read, nodes):
+            at = [read(lam) for lam in nodes]
+            return at, cache.stack(at)[:, None]
+
+        done = _walk(functools.partial(_slopes, lattice), [
+            (a, b, functools.partial(prepare, read))
+            for a, b, read in _pieces(model, lambda_i, lambda_f)], temps, live)
     for j, got in done.items():
         slots[j] = got if isinstance(got, QCaloricError) else CaloricResult(
             "temperature_change", float(got[0] - temps[j]), lambda_i, lambda_f,
@@ -518,8 +550,11 @@ def adiabatic_temperature_change(model: ParamHamiltonian, lambda_i: float,
     Integrates u = ln T, du/dlambda = Cov/var, by Chebyshev-Picard iteration
     on 8 * 2^L + 1 nested Chebyshev-Lobatto nodes until no node moves by
     1e-11 in ln T, doubling n until successive end temperatures agree to
-    1e-9 K; T = e^u stays positive. ``path`` holds the final level's nodes
-    and temperatures, so that entropy conservation can be audited.
+    1e-9 K; T = e^u stays positive. A piece the iteration cannot walk whole
+    (no convergence, or a variance failure past its start) is walked as two
+    halves, down to 2^-16 of it. ``path`` holds the final level's nodes and
+    temperatures of each stretch walked, so that entropy conservation can be
+    audited.
 
     Raises
     ------
@@ -527,9 +562,11 @@ def adiabatic_temperature_change(model: ParamHamiltonian, lambda_i: float,
     NonFiniteParameterError
     DegenerateVarianceError
         var[H] below 1e-14 * (E_max - E_min)^2 at a node of the converged
-        iterate (the first in path order is named).
+        iterate (the first in path order is named): at the start point, or
+        on the deepest half.
     OdeNoConvergenceError
-        After 100 Picard iterations or 7 node doublings (n = 1 024).
+        After 100 Picard iterations or 7 node doublings (n = 1 024) on the
+        deepest half.
     """
     return _single(adiabatic_temperature_change_lanes(
         model, lambda_i, lambda_f, [T_start]))

@@ -134,7 +134,7 @@ def discord_temperature_derivative(J: float, T: float) -> float:
     _require_temperature(T)
     _require_lambda(J)
     cache = _SpectralCache(build_dimer(J=J, b=0.0, parameter="J"))
-    return float(_discord_slopes(J, cache.lanes(J, np.array([float(T)]))[3][0], T))
+    return float(_discord_slopes(J, _moments_at(cache.rows(J), np.array([float(T)]))[3][0], T))
 
 
 def entropy_change_from_discord(J_i: float, J_f: float, T: float) -> float:

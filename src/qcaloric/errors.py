@@ -63,7 +63,8 @@ class QuadratureNoConvergenceError(QCaloricError):
 
 
 class OdeNoConvergenceError(QCaloricError):
-    """Chebyshev-Picard adiabat exhausted its iteration or refinement budget."""
+    """Chebyshev-Picard adiabat exhausted its iteration or refinement budget
+    on the deepest half of a piece."""
 
 
 class DegenerateVarianceError(QCaloricError):

@@ -42,7 +42,7 @@ from .curves import Curve, CurveSet
 from .discord import pair_correlation
 from .errors import ComputationError, QCaloricError
 from .scenario import Scenario, build_model
-from .thermal import _decompose, _require_lambda, _require_temperature
+from .thermal import _decompose, _moments_at, _require_lambda, _require_temperature
 
 
 def thread_count() -> int:
@@ -97,7 +97,7 @@ def _force_table(model, lams, temps) -> np.ndarray:
 
     def row(lam):
         _require_lambda(lam)
-        return -cache.lanes(lam, lanes)[1]
+        return -_moments_at(cache.rows(lam), lanes)[1]
 
     return np.array([_wrap(row, "force", f"T = {temps[0]:g} K", "lambda")(lam) for lam in lams])
 

@@ -285,7 +285,7 @@ def process_decompose(model: ParamHamiltonian,
     NonFiniteParameterError
         Any path lambda not finite.
     QuadratureNoConvergenceError
-        A segment's work integral after 7 node doublings (n = 1 024).
+        A segment's work integral after 14 node doublings (n = 131 072).
     """
     # caloric imports this module, so its kernel is imported here
     from .caloric import _SpectralCache
@@ -334,7 +334,7 @@ def _decompose(cache, path: Sequence[Tuple[float, float]]) -> ProcessDecompositi
             raise got
         work_steps[k] += got[0]
         error += got[1]
-    energies = np.array([cache.lanes(lam, np.array([t]))[0][0] for lam, t in pts])
+    energies = np.array([_moments_at(cache.rows(lam), np.array([t]))[0][0] for lam, t in pts])
     heat_steps = np.diff(energies) - work_steps
     return ProcessDecomposition(
         work=float(np.sum(work_steps)),

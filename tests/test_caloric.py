@@ -1,5 +1,5 @@
+import dataclasses
 import math
-import time
 
 import numpy as np
 import pytest
@@ -160,6 +160,26 @@ class TestIsothermalEntropyChange:
             direct = isothermal_entropy_change_direct(model, lam_i, lam_f, t).value
             assert abs(quad - direct) <= 1e-6
 
+    def test_long_low_temperature_path_refines_past_1024_nodes(self):
+        # J 0.02 -> 20 at T = 0.02 stops at n = 2 048, past the integration matrix's cap
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        res = isothermal_entropy_change(model, 0.02, 20.0, 0.02)
+        direct = isothermal_entropy_change_direct(model, 0.02, 20.0, 0.02).value
+        assert res.refinement_levels > 7
+        assert res.value == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_clenshaw_curtis_weights_are_the_integration_matrix_row(self, n):
+        weights = caloric._clenshaw_curtis_weights(n)
+        assert np.max(np.abs(weights - caloric._integration_matrix(n)[:, -1, 0])) < 1e-15
+
+    def test_clenshaw_curtis_weights_at_the_deepest_level(self):
+        n = 8 * 2 ** caloric._QUAD_MAX_DOUBLINGS
+        weights, x = caloric._clenshaw_curtis_weights(n), np.array(caloric._lobatto(n))
+        assert weights.sum() == pytest.approx(2.0, abs=1e-13)
+        assert weights @ x ** 2 == pytest.approx(2.0 / 3.0, abs=1e-13)
+        assert np.all(weights > 0) and np.array_equal(weights, weights[::-1])
+
     def test_rejects_non_positive_temperature(self):
         model = build_single_spin_zeeman(1.0)
         with pytest.raises(NonPositiveTemperatureError):
@@ -221,15 +241,42 @@ class TestAdiabaticTemperatureChange:
         (0.5, 1.5, 0.08), (0.3, 2.0, 0.05), (0.5, 1.5, 0.1), (0.5, 1.5, 1.0),
         (0.5, 1.5, 10.0), (0.5, 1.5, 100.0)])
     def test_zero_field_dimer_isentrope_is_exact_at_every_temperature(self, lam_i, lam_f, t):
-        # b = 0: S depends on J/T only, so T_f = T J_f / J_i (dT = 2T for 0.5 -> 1.5).
-        # On raw moments the adiabat took 2.0 s at T = 0.08 and was off by
-        # 2.3e-7 relative, and 2.6 s at 0.3 -> 2.0, T = 0.05
+        # b = 0: S depends on J/T only, so T_f = T J_f / J_i (dT = 2T for 0.5 -> 1.5),
+        # reached within 65 nodes at every temperature
         model = build_dimer(J=1.0, b=0.0, parameter="J")
-        start = time.perf_counter()
+        built = []
+        model = dataclasses.replace(
+            model, evaluate=lambda lam, build=model.evaluate: built.append(lam) or build(lam))
         res = adiabatic_temperature_change(model, lam_i, lam_f, t)
-        elapsed = time.perf_counter() - start
         assert res.value == pytest.approx(t * (lam_f / lam_i - 1.0), rel=1e-10, abs=0.0)
-        assert elapsed < 0.1
+        assert res.refinement_levels <= 3 and len(built) == len(set(built)) <= 65
+
+    @pytest.mark.parametrize("b_i, b_f, t", [(0.01, 100.0, 0.2), (0.001, 10.0, 1.0),
+                                             (100.0, 0.05, 5.0)])
+    def test_long_zeeman_isentrope_is_exact(self, b_i, b_f, t):
+        # T = T_start b / b_i along the whole path. Over four decades of b one
+        # Chebyshev level cannot resolve ln b, and a coarse 100 -> 0.05 level
+        # passes through frozen populations: both pieces are halved until
+        # they converge
+        res = adiabatic_temperature_change(build_single_spin_zeeman(), b_i, b_f, t)
+        assert res.value == pytest.approx(t * (b_f / b_i - 1.0), rel=1e-10, abs=0.0)
+        lams = [lam for lam, _ in res.path]
+        assert lams[0] == b_i and lams[-1] == b_f and len(lams) > 8 * 2 ** res.refinement_levels
+        assert all((x - y) * (b_f - b_i) < 0 for x, y in zip(lams, lams[1:]))
+
+    def test_stiff_dimer_isentrope_matches_entropy_matching(self):
+        # J 10 -> 0.1 at T = 5 cools to T = 0.015: the whole-path Picard
+        # iterate crosses frozen populations; the halves converge
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        res = adiabatic_temperature_change(model, 10.0, 0.1, 5.0)
+        ref = adiabatic_temperature_change_matching(model, 10.0, 0.1, 5.0)
+        assert res.value == pytest.approx(ref.value, abs=1e-9)
+
+    def test_path_through_a_flat_spectrum_names_it(self):
+        # the b = 0 dimer is flat at J = 0; halving lands a node on it
+        model = build_dimer(J=1.0, b=0.0, parameter="J")
+        with pytest.raises(DegenerateVarianceError, match=r"at lambda = 0, .*flat spectrum"):
+            adiabatic_temperature_change(model, -0.5, 0.5, 1.0)
 
     def test_picard_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(caloric, "_PICARD_MAX_ITERATIONS", 1)

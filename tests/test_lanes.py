@@ -149,6 +149,23 @@ def test_failing_lanes_carry_their_single_temperature_errors():
             assert type(lane) is DegenerateVarianceError and str(lane) == str(err.value)
 
 
+def test_a_lane_walking_halved_pieces_equals_its_single_call():
+    # J 10 -> 0.1 from T = 5: the whole-path iterate freezes and the piece is
+    # halved; at T = 0.05 the start point itself is frozen; T = 50 walks whole
+    dimer = build_dimer(J=1.0, b=0.3, parameter="J")
+    temps = [5.0, 0.05, 50.0]
+    lanes = adiabatic_temperature_change_lanes(dimer, 10.0, 0.1, temps)
+    assert len(lanes[0].path) > 8 * 2 ** lanes[0].refinement_levels + 1
+    assert len(lanes[2].path) == 8 * 2 ** lanes[2].refinement_levels + 1
+    for t, lane in zip(temps, lanes):
+        if t == 0.05:
+            with pytest.raises(DegenerateVarianceError) as err:
+                adiabatic_temperature_change(dimer, 10.0, 0.1, t)
+            assert str(lane) == str(err.value) and "at lambda = 10, T = 0.05 K" in str(lane)
+        else:
+            assert lane == adiabatic_temperature_change(dimer, 10.0, 0.1, t)
+
+
 def decay_slopes(fail_start, fail_from):
     """du/dlambda = -1 (T = T_start e^-lambda); the lane starting at
     ``fail_start`` fails its guard at every node past ``fail_from``."""
