@@ -48,8 +48,7 @@ from .errors import (
 # hermitian_eigen is not called here; the benchmark's tracer checks this binding
 from .linalg import eigenbasis_diagonal, hermitian_eigen, hermitian_eigen_stack  # noqa: F401
 from .models import ParamHamiltonian
-from .thermal import (_moments_at, _require_lambda, _require_temperature, _spectral_rows,
-                      entropy_from_populations, populations_from_levels)
+from .thermal import _entropy, _moments_at, _require_lambda, _require_temperature, _spectral_rows
 
 _BASE_NODES = 8           # Lobatto intervals of level 0; level L has 8 * 2^L
 _QUAD_MAX_DOUBLINGS = 14  # n = 131 072
@@ -158,7 +157,8 @@ class _SpectralCache:
         return np.array([self.rows(lam) for lam in lams])
 
     def entropy(self, lam: float, temperature: float) -> float:
-        return entropy_from_populations(populations_from_levels(self.rows(lam)[0], temperature)[0])
+        _require_temperature(temperature)
+        return _entropy(self.rows(lam)[2], temperature)
 
     def force(self, lam: float, temperature: float) -> float:
         return -float(_moments_at(self.rows(lam), np.array([temperature]))[1][0])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -92,7 +93,10 @@ def _run_discord(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    it holds only fixed configuration, and each parse returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="qcaloric",
         description="Quantum caloric potentials for spin Hamiltonians.")

@@ -139,17 +139,31 @@ class ParamHamiltonian:
 
 
 def _affine(parameter: str, frozen: Mapping[str, float], h0: np.ndarray,
-            v: np.ndarray, magnetization: HermitianOperator) -> ParamHamiltonian:
-    """The family H(lambda) = h0 + lambda * v with constant derivative v."""
-    v_op = HermitianOperator(v)
+            v: HermitianOperator, magnetization: HermitianOperator) -> ParamHamiltonian:
+    """The family H(lambda) = h0 + lambda * v with the validated constant
+    derivative v; only H(lambda) itself is validated, once per evaluation."""
     return ParamHamiltonian(
-        dimension=v_op.dim,
+        dimension=v.dim,
         parameter_name=parameter,
         frozen_params=frozen,
-        evaluate=lambda lam: HermitianOperator(h0 + lam * v),
-        derivative=lambda lam: v_op,
+        evaluate=lambda lam: HermitianOperator(h0 + lam * v.matrix),
+        derivative=lambda lam: v,
         magnetization_operator=magnetization,
     )
+
+
+def _constant_operators():
+    """The dimer's sigma1.sigma2 and S1z + S2z and one spin's S_z, each with
+    its negation, as read-only validated operators."""
+    _, _, sz, sx, sy, sz_pauli = spin_half_operators()
+    eye = np.eye(2, dtype=complex)
+    exchange = kron(sx, sx) + kron(sy, sy) + kron(sz_pauli, sz_pauli)
+    total_sz = kron(sz, eye) + kron(eye, sz)
+    return tuple(map(HermitianOperator, (exchange, total_sz, -total_sz, sz, -sz)))
+
+
+# built and validated once: a model build makes no Kronecker product
+_EXCHANGE, _TOTAL_SZ, _MINUS_TOTAL_SZ, _SPIN_SZ, _MINUS_SPIN_SZ = _constant_operators()
 
 
 def build_dimer(J: float, b: float, parameter: str) -> ParamHamiltonian:
@@ -168,17 +182,14 @@ def build_dimer(J: float, b: float, parameter: str) -> ParamHamiltonian:
     -------
     ParamHamiltonian
         4-dimensional family with exact derivative ``sigma1.sigma2`` (for
-        "J") or ``-(S1z + S2z)`` (for "b").
+        "J") or ``-(S1z + S2z)`` (for "b"). Both, and the magnetization
+        operator, are read-only operators shared by every dimer.
     """
-    _, _, Sz, sx, sy, sz = spin_half_operators()
-    eye = np.eye(2, dtype=complex)
-    exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
-    total_sz = kron(Sz, eye) + kron(eye, Sz)
-    m_op = HermitianOperator(total_sz)
     if parameter == "J":
-        return _affine("J", {"b": float(b)}, -float(b) * total_sz, exchange, m_op)
+        return _affine("J", {"b": float(b)}, -float(b) * _TOTAL_SZ.matrix, _EXCHANGE, _TOTAL_SZ)
     if parameter == "b":
-        return _affine("b", {"J": float(J)}, float(J) * exchange, -total_sz, m_op)
+        return _affine("b", {"J": float(J)}, float(J) * _EXCHANGE.matrix, _MINUS_TOTAL_SZ,
+                       _TOTAL_SZ)
     raise ValueError(f"parameter must be 'J' or 'b', got {parameter!r}")
 
 
@@ -187,8 +198,7 @@ def build_single_spin_zeeman(b: float = 0.0) -> ParamHamiltonian:
 
     ``b`` is a nominal starting value; the field is the working parameter.
     """
-    Sz = spin_half_operators()[2]
-    return _affine("b", {}, np.zeros_like(Sz), -Sz, HermitianOperator(Sz))
+    return _affine("b", {}, np.zeros((2, 2), dtype=complex), _MINUS_SPIN_SZ, _SPIN_SZ)
 
 
 def build_tabulated(table: SpectrumTable) -> ParamHamiltonian:

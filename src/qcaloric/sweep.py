@@ -9,7 +9,7 @@ read nested Chebyshev-Lobatto nodes, so each refinement reuses every node of
 the one before. Each lane keeps its own convergence level, and every point
 equals the single-temperature public call bit for bit; the force
 computation takes them as lanes of each lambda, and the decompose strokes
-of all temperatures read one cache.
+of all temperatures are the lanes of one work quadrature on one cache.
 
 Sweeps run on the calling thread. Every model here is small enough that
 numpy holds the interpreter lock throughout, so worker threads only
@@ -80,7 +80,12 @@ def _lane_map(lanes_fn, comp, lam_desc, temps):
             done = list(pool.map(lanes_fn, chunks))
     else:
         done = map(lanes_fn, chunks)
-    results = [r for chunk in done for r in chunk]
+    return _raise_first(comp, lam_desc, temps, [r for chunk in done for r in chunk])
+
+
+def _raise_first(comp, lam_desc, temps, results):
+    """``results``, one per temperature, unless one is a QCaloricError: the
+    first in grid order, at the lowest temperature, aborts the sweep."""
     for t, r in zip(temps, results):
         if isinstance(r, QCaloricError):
             raise _failure(comp, "T", t, lam_desc, r) from r
@@ -165,11 +170,9 @@ def run_sweep(scenario: Scenario, *,
                     name=f"force_T={t:g}", abscissa_unit="K", value_unit="K_per_lambda",
                     points=tuple((lam, y, 0.0) for lam, y in zip(lams, values))))
         elif comp == "decompose":
-            # one cache for every temperature: the strokes share their lambda nodes
-            cache = _SpectralCache(model)
-            stroke = _wrap(lambda t: _decompose(cache, [(lam_i, t), (lam_f, t)]),
-                           comp, lam_desc)
-            results = [stroke(t) for t in temps]
+            # every temperature's stroke is a lane of one quadrature on one cache
+            results = _raise_first(comp, lam_desc, temps, _decompose(
+                _SpectralCache(model), [[(lam_i, t), (lam_f, t)] for t in temps]))
             for name, pick in (("work", lambda d: (d.work, d.error_estimate)),
                                ("heat", lambda d: (d.heat, d.error_estimate)),
                                ("energy_change", lambda d: (d.energy_change, 0.0))):

@@ -163,6 +163,15 @@ def entropy_from_populations(populations: np.ndarray) -> float:
     return max(float(-np.sum(p * np.log(p))), 0.0)
 
 
+def _entropy(shifts: np.ndarray, temperature: float) -> float:
+    """S = ln Z0 + <E - E_0> / T at T from the shifts E_0 - E of ascending
+    levels, in k_B units. ln Z0 = log1p(sum_{n>0} w_n) with the shifted
+    weights w_n = p_n Z0 of ``_boltzmann``: no population is lost once p_0
+    rounds to 1, as in -sum p ln p, and S >= 0 holds term by term."""
+    p, z0 = _boltzmann(shifts, temperature)
+    return math.log1p(float(np.add.reduce(p[1:] * z0))) - float(p @ shifts) / temperature
+
+
 def _spectral_rows(levels: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """E, an observable's energy-basis diagonal A and E_0 - E."""
     return np.array((levels, diag, levels[0] - levels))
@@ -188,19 +197,21 @@ def _moments_at(rows: np.ndarray, temperatures: np.ndarray):
 def thermo_point(state: ThermalState) -> ThermodynamicPoint:
     """All equilibrium scalars of a state.
 
-    U = sum p_n E_n, S = -sum p_n ln p_n, F = -T ln Z,
+    U = sum p_n E_n, S = log1p(sum_{n>0} w_n) + sum p_n (E_n - E_0) / T
+    with the ground-shifted Boltzmann weights w_n = exp((E_0 - E_n) / T)
+    (ln Z + U / T, accurate where p_0 rounds to 1), F = -T ln Z,
     C = var[H] / T^2, Y = -sum p_n dE_n/dlambda through the analytic
     derivative operator.
     """
-    p = state.populations
+    p, levels = state.populations, state.spectrum.values
     t = state.temperature
     d_diag = eigenbasis_diagonal(state.model.derivative(state.lam), state.spectrum.vectors)
-    u, mean_d, variance, _ = map(float, _moments(p, _spectral_rows(state.spectrum.values, d_diag)))
+    u, mean_d, variance, _ = map(float, _moments(p, _spectral_rows(levels, d_diag)))
     return ThermodynamicPoint(
         temperature=t,
         lam=state.lam,
         internal_energy=u,
-        entropy=entropy_from_populations(p),
+        entropy=_entropy(levels[0] - levels, t),
         free_energy=-t * state.log_partition,
         specific_heat=variance / (t * t),
         energy_variance=variance,
@@ -271,10 +282,13 @@ def process_decompose(model: ParamHamiltonian,
     Clenshaw-Curtis quadrature on nested Chebyshev-Lobatto nodes: the
     segments, split at the model's breakpoints, are the lanes of one
     quadrature on s in [0, 1], each doubling its nodes until successive
-    estimates differ by < 1e-10 (absolute or relative). The heat is the
-    first-law remainder Q = dU - W per segment, with dU from the exact
-    endpoint energies, so W + Q = dU holds to rounding and an isochore
-    (dlambda = 0) does no work at all.
+    estimates differ by < 1e-10 (absolute or relative). This is the
+    one-path case of the decompose sweep, whose quadrature takes the
+    strokes of all its temperatures as lanes, so each sweep point equals
+    its own call bit for bit. The heat is the first-law remainder
+    Q = dU - W per segment, with dU from the exact endpoint energies, so
+    W + Q = dU holds to rounding and an isochore (dlambda = 0) does no
+    work at all.
 
     Raises
     ------
@@ -289,29 +303,41 @@ def process_decompose(model: ParamHamiltonian,
     """
     # caloric imports this module, so its kernel is imported here
     from .caloric import _SpectralCache
-    return _decompose(_SpectralCache(model), path)
+    got = _decompose(_SpectralCache(model), [path])[0]
+    if isinstance(got, QCaloricError):
+        raise got
+    return got
 
 
-def _decompose(cache, path: Sequence[Tuple[float, float]]) -> ProcessDecomposition:
-    """``process_decompose`` on the spectral cache of its model, which calls
-    may share: a node one of them diagonalized is read by the others."""
+def _decompose(cache, paths) -> list:
+    """``process_decompose`` of each of ``paths`` on the spectral cache of their
+    model, as the lanes of one quadrature: every piece of every path is a lane
+    with its own refinement level and bits, so a node one path diagonalized
+    is read by the others. One entry per path: its ProcessDecomposition, or
+    the QCaloricError its ``process_decompose`` call raises."""
     from .caloric import _clenshaw_curtis_lanes, _pieces
 
-    pts = [(float(lam), float(t)) for lam, t in path]
-    if len(pts) < 2:
-        raise EmptyPathError("process path needs at least 2 points")
-    for lam, t in pts:
-        _require_temperature(t, "path T")
-        _require_lambda(lam)
-
-    # one lane per piece (a, b) of a segment that moves lambda: its start,
-    # width, lambda ends as read (one ulp inside at a breakpoint) and T ends
-    segment, rows = [], []
-    for k, ((la, ta), (lb, tb)) in enumerate(zip(pts[:-1], pts[1:])):
-        for a, b, read in (_pieces(cache.model, la, lb) if la != lb else ()):
-            segment.append(k)
-            rows.append((a, b - a, read(a), read(b),
-                          *(ta + (x - la) / (lb - la) * (tb - ta) for x in (a, b))))
+    # one lane per piece (a, b) of a segment that moves lambda: its path and
+    # segment, start, width, lambda ends as read (one ulp inside at a
+    # breakpoint) and T ends
+    slots, owner, rows = [], [], []
+    for j, path in enumerate(paths):
+        pts = [(float(lam), float(t)) for lam, t in path]
+        try:
+            if len(pts) < 2:
+                raise EmptyPathError("process path needs at least 2 points")
+            for lam, t in pts:
+                _require_temperature(t, "path T")
+                _require_lambda(lam)
+        except QCaloricError as exc:
+            slots.append(exc)
+            continue
+        slots.append(pts)
+        for k, ((la, ta), (lb, tb)) in enumerate(zip(pts[:-1], pts[1:])):
+            for a, b, read in (_pieces(cache.model, la, lb) if la != lb else ()):
+                owner.append((j, k))
+                rows.append((a, b - a, read(a), read(b),
+                             *(ta + (x - la) / (lb - la) * (tb - ta) for x in (a, b))))
     start, width, read_a, read_b, t_a, t_b = np.array(rows).reshape(-1, 6).T
 
     def integrand(nodes, lanes):
@@ -324,17 +350,30 @@ def _decompose(cache, path: Sequence[Tuple[float, float]]) -> ProcessDecompositi
         stacked = cache.stack(lam.ravel().tolist()).reshape(lam.shape + (3, -1))
         return _moments_at(stacked, temps)[1] * width[lanes]
 
-    done = _clenshaw_curtis_lanes(integrand, 0.0, 1.0, np.arange(len(segment)),
+    done = _clenshaw_curtis_lanes(integrand, 0.0, 1.0, np.arange(len(owner)),
                                   "process work", tol=_DECOMPOSE_TOL)
+    lanes_of = [[] for _ in slots]
+    for lane, (j, k) in enumerate(owner):
+        lanes_of[j].append((k, done[lane]))
+    return [pts if isinstance(pts, QCaloricError) else _split(cache, pts, lanes)
+            for pts, lanes in zip(slots, lanes_of)]
+
+
+def _split(cache, pts, lanes):
+    """One path's first-law split from its (segment, work lane) results, or
+    the first failing lane's error; its energies are read at its points."""
     work_steps = np.zeros(len(pts) - 1)
     error = 0.0
-    for lane, k in enumerate(segment):
-        got = done[lane]
+    for k, got in lanes:
         if isinstance(got, QCaloricError):
-            raise got
+            return got
         work_steps[k] += got[0]
         error += got[1]
-    energies = np.array([_moments_at(cache.rows(lam), np.array([t]))[0][0] for lam, t in pts])
+    try:
+        energies = np.array([_moments_at(cache.rows(lam), np.array([t]))[0][0]
+                             for lam, t in pts])
+    except QCaloricError as exc:
+        return exc
     heat_steps = np.diff(energies) - work_steps
     return ProcessDecomposition(
         work=float(np.sum(work_steps)),
@@ -343,5 +382,5 @@ def _decompose(cache, path: Sequence[Tuple[float, float]]) -> ProcessDecompositi
         work_steps=work_steps,
         heat_steps=heat_steps,
         error_estimate=error,
-        refinement_levels=max((got[2] for got in done.values()), default=0),
+        refinement_levels=max((got[2] for _, got in lanes), default=0),
     )

@@ -9,6 +9,7 @@ S = sigma/2 magnetization).
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -63,6 +64,29 @@ def dimer_matching_temperature(J_i, J_f, T_start, b=0.0, iterations=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mp_dimer_entropy(J, T, b=0.0):
+    """S = ln Z + U / T of the dimer in mpmath at 40 digits, with ln Z taken
+    from the ground state as log1p of the excited weights: at T/gap ~ 0.01
+    they are ~1e-43, below the precision of 1 + sum w itself."""
+    with mpmath.workdps(40):
+        J, T, b = (mpmath.mpf(x) for x in (J, T, b))
+        levels = sorted([-3 * J, J - b, J, J + b])
+        gaps = [e - levels[0] for e in levels[1:]]
+        weights = [mpmath.exp(-g / T) for g in gaps]
+        return (mpmath.log1p(mpmath.fsum(weights))
+                + mpmath.fsum(w * g for w, g in zip(weights, gaps)) / (T * (1 + mpmath.fsum(weights))))
+
+
+def mp_dimer_matching_change(J_i, J_f, T_start, b=0.0):
+    """dT with S(J_f, T_start + dT) = S(J_i, T_start), by mpmath root finding."""
+    with mpmath.workdps(40):
+        target = mp_dimer_entropy(J_i, T_start, b)
+        t_end = mpmath.findroot(lambda t: mp_dimer_entropy(J_f, t, b) - target,
+                                (mpmath.mpf(T_start) * 1e-3, mpmath.mpf(T_start) * 1e3),
+                                solver="bisect")
+        return t_end - T_start
 
 
 # --- single spin: H = -b Sz, levels (-b/2, +b/2) -----------------------------

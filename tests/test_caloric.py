@@ -34,6 +34,8 @@ from oracles import (
     dimer_entropy,
     dimer_exchange_average,
     dimer_matching_temperature,
+    mp_dimer_entropy,
+    mp_dimer_matching_change,
     spin_entropy,
     spin_magnetization,
 )
@@ -145,6 +147,14 @@ class TestIsothermalEntropyChange:
         fwd = isothermal_entropy_change(model, 0.5, 1.5, 1.0).value
         back = isothermal_entropy_change(model, 1.5, 0.5, 1.0).value
         assert fwd == pytest.approx(-back, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [0.02, 0.03, 0.05])
+    def test_direct_route_at_low_temperature_matches_mpmath(self, t):
+        # dS ~ 1e-41 at T = 0.02, far below 1 - p_0: every excited weight counts
+        model = build_dimer(J=0.5, b=0.0, parameter="J")
+        exact = float(mp_dimer_entropy(1.5, t) - mp_dimer_entropy(0.5, t))
+        value = isothermal_entropy_change_direct(model, 0.5, 1.5, t).value
+        assert abs(value - exact) <= 1e-8 * abs(exact)
 
     def test_direct_oracle_route(self):
         model = build_dimer(J=1.0, b=0.0, parameter="J")
@@ -327,6 +337,15 @@ class TestEntropyMatching:
             matched = adiabatic_temperature_change_matching(
                 model, lam_i, lam_f, t).value
             assert abs(ode - matched) <= 1e-6
+
+    def test_low_temperature_matches_mpmath(self):
+        # T/gap ~ 0.03: the excited populations are ~1e-15, which -sum p ln p
+        # dropped once p_0 rounded to 1 (1.7e-5 K off)
+        model = build_dimer(J=0.5, b=0.3, parameter="J")
+        res = adiabatic_temperature_change_matching(model, 0.5, 1.5, 0.05)
+        exact = float(mp_dimer_matching_change(0.5, 1.5, 0.05, b=0.3))
+        assert exact == pytest.approx(0.11672460389, abs=1e-11)
+        assert abs(res.value - exact) <= 1e-10
 
     def test_bracket_failure(self):
         # target entropy of a warm spin is unreachable at a huge final field

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qcaloric import cli
 from qcaloric.cli import cli_main
 
 
@@ -159,3 +160,27 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert cli_main(["frobnicate"]) == 2
+
+
+class TestParserReuse:
+    def test_later_calls_behave_like_first_calls(self, tmp_path, scenario_file, capsys):
+        # one parser serves every call of a process; each call gets a fresh
+        # namespace, so a usage error after a run reads as it does alone
+        path = scenario_file(computations=["decompose"])
+        calls = (["decompose", "--scenario", str(path)], ["decompose"],
+                 ["decompose", "--scenario", str(tmp_path / "nope.json")], ["frobnicate"])
+
+        def run(argv):
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            return code, captured.err
+
+        first = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            first.append(run(argv))
+        cli._build_parser.cache_clear()
+        assert [run(argv) for argv in calls] == first
+        assert [code for code, _ in first] == [0, 2, 2, 2]
+        assert first[0][1] == "" and "--scenario" in first[1][1]
+        assert cli._build_parser() is cli._build_parser()

@@ -1,7 +1,8 @@
 """process_decompose on the spectral kernel: closed-form work and heat on
 isothermal strokes, the stop rule's error, breakpoint splitting on tabulated
-models (decompose, entropy quadrature and RK4 adiabat), and the sweep's error
-column."""
+models (decompose, entropy quadrature and Chebyshev-Picard adiabat), and the
+decompose sweep: its error column, its one quadrature over every temperature
+and its failures."""
 
 import dataclasses
 import time
@@ -18,7 +19,11 @@ from qcaloric.caloric import (
     isothermal_entropy_change_direct,
 )
 from qcaloric.curves import render_csv
-from qcaloric.errors import NonFiniteParameterError, QuadratureNoConvergenceError
+from qcaloric.errors import (
+    ComputationError,
+    NonFiniteParameterError,
+    QuadratureNoConvergenceError,
+)
 from qcaloric.models import SpectrumTable, build_dimer, build_tabulated
 from qcaloric.scenario import parse_scenario
 from qcaloric.sweep import run_sweep
@@ -161,14 +166,16 @@ def test_tabulated_adiabat_lanes_equal_single_calls():
         adiabatic_temperature_change(TABLE, 2.7, 0.3, t) for t in temps]
 
 
+STROKE = """{
+  "model": {"kind": "dimer", "J": 0.5, "b": 0.3}, "parameter": "J",
+  "sweep": {"from": 0.5, "to": 1.5, "points": 2},
+  "temperatures": {"from": 1.0, "to": 7.0, "points": 3},
+  "computations": ["decompose"], "output": {"csv": "out.csv"}
+}"""
+
+
 def test_sweep_writes_the_work_error_estimate():
-    scn = parse_scenario("""{
-      "model": {"kind": "dimer", "J": 0.5, "b": 0.3}, "parameter": "J",
-      "sweep": {"from": 0.5, "to": 1.5, "points": 2},
-      "temperatures": {"from": 1.0, "to": 7.0, "points": 3},
-      "computations": ["decompose"], "output": {"csv": "out.csv"}
-    }""")
-    work, heat, energy = run_sweep(scn)
+    work, heat, energy = run_sweep(parse_scenario(STROKE))
     for t, (_, w, w_err), (_, _, q_err), (_, _, du_err) in zip(
             (1.0, 4.0, 7.0), work.points, heat.points, energy.points):
         d = process_decompose(PINNED, [(0.5, t), (1.5, t)])
@@ -176,17 +183,31 @@ def test_sweep_writes_the_work_error_estimate():
     assert "0.00000000000e+00" not in render_csv(work)
 
 
+def test_decompose_sweep_failure_names_the_lowest_temperature(monkeypatch):
+    monkeypatch.setattr(caloric, "_QUAD_MAX_DOUBLINGS", 0)
+    with pytest.raises(QuadratureNoConvergenceError) as single:
+        process_decompose(PINNED, [(0.5, 1.0), (1.5, 1.0)])
+    with pytest.raises(ComputationError) as swept:
+        run_sweep(parse_scenario(STROKE))
+    assert str(swept.value) == f"decompose failed at T = 1 K, sweep 0.5 -> 1.5: {single.value}"
+    assert isinstance(swept.value.__cause__, QuadratureNoConvergenceError)
+
+
 def test_decompose_sweep_shares_one_cache_across_temperatures(monkeypatch):
-    # T = 1, 4 and 7 read nested Lobatto nodes of one stroke: each distinct
-    # lambda is built once, and the deepest temperature's nodes hold the others'
+    # T = 1, 4 and 7 are the lanes of one quadrature over nested Lobatto nodes
+    # of one stroke: each distinct lambda is built once, the deepest
+    # temperature's nodes hold the others', and each lane keeps its own bits
     model, calls = counted(PINNED)
     monkeypatch.setattr(sweep, "build_model", lambda scenario: model)
-    work, heat, energy = run_sweep(parse_scenario("""{
-      "model": {"kind": "dimer", "J": 0.5, "b": 0.3}, "parameter": "J",
-      "sweep": {"from": 0.5, "to": 1.5, "points": 2},
-      "temperatures": {"from": 1.0, "to": 7.0, "points": 3},
-      "computations": ["decompose"], "output": {"csv": "out.csv"}
-    }"""))
+    quadrature, quadratures = caloric._clenshaw_curtis_lanes, []
+
+    def counted_quadrature(f, a, b, lanes, what, **kwargs):
+        quadratures.append(lanes.tolist())
+        return quadrature(f, a, b, lanes, what, **kwargs)
+
+    monkeypatch.setattr(caloric, "_clenshaw_curtis_lanes", counted_quadrature)
+    work, heat, energy = run_sweep(parse_scenario(STROKE))
+    assert quadratures == [[0, 1, 2]]
     assert len(calls) == len(set(calls))
     alone = []
     for t, w, q, du in zip((1.0, 4.0, 7.0), work.points, heat.points, energy.points):

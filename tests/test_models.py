@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcaloric import linalg, models
 from qcaloric.errors import (
     GridTooSmallError,
     NonMonotoneGridError,
@@ -63,6 +64,25 @@ class TestDimer:
     def test_bad_parameter_name(self):
         with pytest.raises(ValueError):
             build_dimer(J=1.0, b=0.0, parameter="x")
+
+    def test_builds_make_no_kronecker_product(self, monkeypatch):
+        # the constant operators are built and validated once, at import
+        def forbidden(*args):
+            raise AssertionError("kron called by a model build")
+
+        for module in (np, linalg, models):
+            monkeypatch.setattr(module, "kron", forbidden)
+        for model in (build_dimer(J=1.0, b=0.3, parameter="J"),
+                      build_dimer(J=0.8, b=0.5, parameter="b"),
+                      build_single_spin_zeeman(0.4)):
+            model.evaluate(0.7)
+            for op in (model.derivative(0.7), model.magnetization_operator):
+                assert not op.matrix.flags.writeable
+                with pytest.raises(ValueError):
+                    op.matrix[0, 0] = 1.0
+        first, second = (build_dimer(J=j, b=0.0, parameter="J") for j in (0.5, 1.5))
+        assert first.derivative(0.0) is second.derivative(1.0)
+        assert first.magnetization_operator is second.magnetization_operator
 
 
 class TestSingleSpin:
