@@ -54,7 +54,7 @@ _BASE_NODES = 8           # Lobatto intervals of level 0; level L has 8 * 2^L
 _QUAD_MAX_DOUBLINGS = 14  # n = 131 072
 _ODE_MAX_DOUBLINGS = 7    # n = 1 024: the integration matrix holds (n + 1)^2 floats
 _ODE_MAX_BISECTIONS = 16  # an adiabat piece is halved at most this often
-_QUAD_TOL = 1e-8          # successive-estimate tolerance, absolute and relative
+_QUAD_TOL = 1e-8          # successive-estimate tolerance, relative to the quadrature of |f|
 _ODE_TOL = 1e-9           # kelvin, successive end-temperature difference
 _PICARD_TOL = 1e-11       # largest change of ln T at a node between iterates
 _PICARD_MAX_ITERATIONS = 100
@@ -275,19 +275,20 @@ def _weighted_sum(coefs, rows: np.ndarray) -> np.ndarray:
 def _refine(step, lanes: np.ndarray, close, fail, max_level: int):
     """The refinement loop of every lambda integral, lane by lane: level L
     integrates the live lanes (an index array) on 8 * 2^L + 1 Lobatto nodes.
-    ``step(level, lanes)`` returns each lane's estimate and its payload or
-    QCaloricError; a lane is frozen once ``close(difference, estimate)``
-    holds, and one still open after ``max_level`` gets ``fail(difference)``.
+    ``step(level, lanes)`` returns each lane's estimate, the scale its
+    difference is measured against, and its payload or QCaloricError; a lane
+    is frozen once ``close(difference, scale)`` holds, and one still open
+    after ``max_level`` gets ``fail(difference)``.
     Returns {lane: (estimate, difference, level, payload)} or its error."""
     out, last = {}, None
     try:
         for level in range(max_level + 1):
             if not lanes.size:
                 return out
-            estimate, payloads = step(level, lanes)
+            estimate, scale, payloads = step(level, lanes)
             ok = np.array([not isinstance(p, QCaloricError) for p in payloads], dtype=bool)
             diff = np.abs(estimate - last) if level else np.full(len(lanes), np.inf)
-            done = ok & close(diff, estimate)
+            done = ok & close(diff, scale)
             for j in np.flatnonzero(done | ~ok).tolist():
                 out[int(lanes[j])] = payloads[j] if not ok[j] else (
                     float(estimate[j]), float(diff[j]), level, payloads[j])
@@ -301,16 +302,21 @@ def _refine(step, lanes: np.ndarray, close, fail, max_level: int):
 def _clenshaw_curtis_lanes(f, a: float, b: float, lanes: np.ndarray, what: str,
                            tol: float = _QUAD_TOL):
     """Clenshaw-Curtis quadrature on [a, b] on the levels of ``_refine``, each
-    lane stopping once successive estimates differ by < ``tol`` absolutely or
-    relatively. ``f(nodes, lanes)`` returns the integrand at a level's nodes
-    (one row per node) for the lane indices ``lanes``, read from a spectral
-    cache that diagonalizes the new nodes together."""
+    lane stopping once successive estimates differ by <= ``tol`` times the
+    same level's quadrature of |f|: relative at any magnitude, and at once
+    on an integrand that is exactly zero. ``f(nodes, lanes)`` returns the
+    integrand at a level's nodes (one row per node) for the lane indices
+    ``lanes``, read from a spectral cache that diagonalizes the new nodes
+    together."""
     def step(level, live):
         n = _BASE_NODES << level
-        return (0.5 * (b - a) * _weighted_sum(_clenshaw_curtis_weights(n)[:, None],
-                                              f(_nodes(a, b, n), live)), [None] * len(live))
+        rows = f(_nodes(a, b, n), live)
+        # f and |f| summed in one pass; the weights are positive
+        sums = 0.5 * (b - a) * _weighted_sum(_clenshaw_curtis_weights(n)[:, None],
+                                             np.hstack([rows, np.abs(rows)]))
+        return sums[:len(live)], np.abs(sums[len(live):]), [None] * len(live)
 
-    return _refine(step, lanes, lambda diff, est: diff < np.maximum(tol, tol * np.abs(est)),
+    return _refine(step, lanes, lambda diff, scale: diff <= tol * scale,
                    lambda err: QuadratureNoConvergenceError(
                        f"{what}: Clenshaw-Curtis not converged after {_QUAD_MAX_DOUBLINGS} "
                        f"doublings (last difference {err:.3e})"), _QUAD_MAX_DOUBLINGS)
@@ -382,7 +388,7 @@ def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
     The integrand is computed analytically as -Cov(dH/dlambda, H) / T^2 and
     integrated by Clenshaw-Curtis quadrature on 8 * 2^L + 1 nested
     Chebyshev-Lobatto nodes, doubling n until successive estimates differ
-    by < 1e-8 (absolute or relative).
+    by <= 1e-8 times the same level's quadrature of |integrand|.
 
     Raises
     ------
@@ -451,7 +457,8 @@ def _picard_lanes(slopes, a: float, b: float, t_start: np.ndarray, lanes: np.nda
         lams = _nodes(a, b, _BASE_NODES << level)
         ts, errors = _picard(slopes, prepare(lams), _integration_matrix(len(lams) - 1),
                              0.5 * (b - a), t_start[live])
-        return ts[-1], [err or tuple(zip(lams, path)) for err, path in zip(errors, ts.T.tolist())]
+        return ts[-1], None, [err or tuple(zip(lams, path))
+                              for err, path in zip(errors, ts.T.tolist())]
 
     return _refine(step, lanes, lambda diff, _: diff < _ODE_TOL,
                    lambda err: OdeNoConvergenceError(

@@ -11,8 +11,7 @@ Subcommands::
     qcaloric validate        [--quick]
 
 Exit codes: 0 success, 1 validation/invariant failure, 2 usage error,
-3 computation error. Sweeps run on the calling thread; a positive
-QCAL_THREADS environment variable opts into that many worker threads.
+3 computation error. Sweeps run on the calling thread.
 """
 
 from __future__ import annotations

@@ -11,23 +11,19 @@ equals the single-temperature public call bit for bit; the force
 computation takes them as lanes of each lambda, and the decompose strokes
 of all temperatures are the lanes of one work quadrature on one cache.
 
-Sweeps run on the calling thread. Every model here is small enough that
-numpy holds the interpreter lock throughout, so worker threads only
-contend. A positive QCAL_THREADS opts into that many workers for the
-endpoint computations alone: the temperature grid is split into that many
-chunks, each with its own cache and walk. Discord, force and decompose
-always run on the calling thread. Results are gathered in grid order, so
-output is deterministic regardless of the degree of parallelism. A failing
-grid point aborts the whole run -- partial curves are never emitted; its
-error names the failing temperature, the lowest one when several fail.
+Sweeps run on the calling thread: every model here is small enough that
+numpy holds the interpreter lock throughout, so worker threads would only
+contend. The discord curves are read off the force table: on the
+zero-field J-dimer dH/dJ = sigma1.sigma2, so D = |<dH/dJ>| / 6 and each J is
+diagonalized once with every T as a lane. A failing grid point aborts the
+whole run -- partial curves are never emitted; its error names the failing
+temperature, the lowest one when several fail.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,48 +35,29 @@ from .caloric import (
     isothermal_entropy_change_lanes,
 )
 from .curves import Curve, CurveSet
-from .discord import pair_correlation
 from .errors import ComputationError, QCaloricError
 from .scenario import Scenario, build_model
 from .thermal import _decompose, _moments_at, _require_lambda, _require_temperature
 
 
 def thread_count() -> int:
-    """Worker count: a positive integer QCAL_THREADS opts into that many;
-    unset or anything else is 1, the calling thread."""
-    try:
-        return max(int(os.environ.get("QCAL_THREADS", "")), 1)
-    except ValueError:
-        return 1
+    """Threads a sweep runs on: always 1, the calling thread. QCAL_THREADS
+    is accepted and ignored."""
+    return 1
 
 
 def _failure(comp, axis, x, lam_desc, exc):
     return ComputationError(f"{comp} failed at {axis} = {x:g} K, {lam_desc}: {exc}")
 
 
-def _wrap(fn, comp, lam_desc, axis="T"):
-    def evaluated(x):
+def _wrap(fn, comp, t):
+    """``fn(lam)``, its QCaloricError named as ``comp`` failing at lam and T = t."""
+    def evaluated(lam):
         try:
-            return fn(x)
+            return fn(lam)
         except QCaloricError as exc:
-            raise _failure(comp, axis, x, lam_desc, exc) from exc
+            raise _failure(comp, "lambda", lam, f"T = {t:g} K", exc) from exc
     return evaluated
-
-
-def _lane_map(lanes_fn, comp, lam_desc, temps):
-    """``lanes_fn`` over chunks of ``temps``, one chunk per worker, flattened
-    in grid order; the only pool of a sweep, opened when there are several.
-
-    ``lanes_fn`` returns one result or QCaloricError per temperature; the
-    lowest failing temperature aborts the sweep.
-    """
-    chunks = [c for c in np.array_split(temps, thread_count()) if c.size]
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            done = list(pool.map(lanes_fn, chunks))
-    else:
-        done = map(lanes_fn, chunks)
-    return _raise_first(comp, lam_desc, temps, [r for chunk in done for r in chunk])
 
 
 def _raise_first(comp, lam_desc, temps, results):
@@ -92,11 +69,12 @@ def _raise_first(comp, lam_desc, temps, results):
     return results
 
 
-def _force_table(model, lams, temps) -> np.ndarray:
+def _force_table(model, lams, temps, comp) -> np.ndarray:
     """-<dH/dlambda> per (lambda, T), each lambda diagonalized once with every T
-    as a lane; each entry equals ``generalized_force`` bit for bit."""
+    as a lane; each entry equals ``generalized_force`` bit for bit. Errors
+    name ``comp``, the computation that reads the table."""
     for t in temps:
-        _wrap(lambda _: _require_temperature(t), "force", f"T = {t:g} K", "lambda")(lams[0])
+        _wrap(lambda _: _require_temperature(t), comp, t)(lams[0])
     cache, lanes = _SpectralCache(model), np.array(temps, dtype=float)
     cache.fill(itertools.takewhile(math.isfinite, lams))   # a non-finite lambda fails in its row
 
@@ -104,7 +82,7 @@ def _force_table(model, lams, temps) -> np.ndarray:
         _require_lambda(lam)
         return -_moments_at(cache.rows(lam), lanes)[1]
 
-    return np.array([_wrap(row, "force", f"T = {temps[0]:g} K", "lambda")(lam) for lam in lams])
+    return np.array([_wrap(row, comp, temps[0])(lam) for lam in lams])
 
 
 def run_sweep(scenario: Scenario, *,
@@ -133,8 +111,8 @@ def run_sweep(scenario: Scenario, *,
         sweep_labels = [f"J={lam:g}" for lam in lams]
 
     # endpoint computations: curve name, value unit and the lane route over
-    # a chunk of temperatures; the lambdas resolve their callee when called,
-    # not when built
+    # the temperatures; the lambdas resolve their callee when called, not
+    # when built
     lattice = scenario.lattice or LatticeHeatSpec()
     endpoint = {
         "entropy": ("entropy_change", "kB",
@@ -150,22 +128,21 @@ def run_sweep(scenario: Scenario, *,
     for comp in scenario.computations:
         if comp in endpoint:
             name, unit, fn = endpoint[comp]
-            results = _lane_map(fn, comp, lam_desc, temps)
+            results = _raise_first(comp, lam_desc, temps, fn(temps))
             curves.append(Curve(
                 name=name, abscissa_unit="K", value_unit=unit,
                 points=tuple((t, r.value, r.error_estimate)
                              for t, r in zip(temps, results))))
         elif comp == "discord":
-            for lam, label in zip(lams, sweep_labels):
-                record = _wrap(lambda t, j=lam: pair_correlation(j, t), comp, f"J = {lam:g}")
-                records = [record(t) for t in temps]
+            # the scenario is the zero-field J-dimer: D = |<sigma1.sigma2>| / 6
+            table = _force_table(model, lams, temps, comp)
+            for label, values in zip(sweep_labels, table.tolist()):
                 curves.append(Curve(
                     name=f"discord_{label}", abscissa_unit="K",
                     value_unit="dimensionless",
-                    points=tuple((t, rec.discord, 0.0)
-                                 for t, rec in zip(temps, records))))
+                    points=tuple((t, abs(y) / 6.0, 0.0) for t, y in zip(temps, values))))
         elif comp == "force":
-            for t, values in zip(temps, _force_table(model, lams, temps).T.tolist()):
+            for t, values in zip(temps, _force_table(model, lams, temps, comp).T.tolist()):
                 curves.append(Curve(
                     name=f"force_T={t:g}", abscissa_unit="K", value_unit="K_per_lambda",
                     points=tuple((lam, y, 0.0) for lam, y in zip(lams, values))))

@@ -282,7 +282,8 @@ def process_decompose(model: ParamHamiltonian,
     Clenshaw-Curtis quadrature on nested Chebyshev-Lobatto nodes: the
     segments, split at the model's breakpoints, are the lanes of one
     quadrature on s in [0, 1], each doubling its nodes until successive
-    estimates differ by < 1e-10 (absolute or relative). This is the
+    estimates differ by <= 1e-10 times the same level's quadrature of
+    |<dH/dlambda>|. This is the
     one-path case of the decompose sweep, whose quadrature takes the
     strokes of all its temperatures as lanes, so each sweep point equals
     its own call bit for bit. The heat is the first-law remainder

@@ -15,6 +15,7 @@ from qcaloric.caloric import (
     isothermal_entropy_change_direct,
     maxwell_residual,
 )
+from qcaloric.discord import entropy_change_from_discord
 from qcaloric.errors import (
     BracketFailureError,
     DegenerateVarianceError,
@@ -155,6 +156,23 @@ class TestIsothermalEntropyChange:
         exact = float(mp_dimer_entropy(1.5, t) - mp_dimer_entropy(0.5, t))
         value = isothermal_entropy_change_direct(model, 0.5, 1.5, t).value
         assert abs(value - exact) <= 1e-8 * abs(exact)
+
+    @pytest.mark.parametrize("t", [0.02, 0.03, 0.05])
+    def test_quadrature_at_low_temperature_matches_mpmath(self, t):
+        # the stop is relative to the quadrature of |integrand|, so a dS of
+        # 1e-41 refines like one of order 1; the discord integral shares it
+        model = build_dimer(J=0.5, b=0.0, parameter="J")
+        exact = float(mp_dimer_entropy(1.5, t) - mp_dimer_entropy(0.5, t))
+        res = isothermal_entropy_change(model, 0.5, 1.5, t)
+        assert abs(res.value - exact) <= 1e-8 * abs(exact)
+        assert res.refinement_levels <= 4
+        assert abs(entropy_change_from_discord(0.5, 1.5, t) + exact) <= 1e-8 * abs(exact)
+
+    def test_quadrature_of_an_exact_zero_stops_at_level_one(self):
+        got = caloric._clenshaw_curtis_lanes(
+            lambda nodes, lanes: np.zeros((len(nodes), len(lanes))), 0.0, 1.0,
+            np.arange(2), "zero")
+        assert got == {0: (0.0, 0.0, 1, None), 1: (0.0, 0.0, 1, None)}
 
     def test_direct_oracle_route(self):
         model = build_dimer(J=1.0, b=0.0, parameter="J")

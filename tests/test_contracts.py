@@ -4,6 +4,7 @@ entry point and the eigensolve budget of each route on a reference case."""
 import dataclasses
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -162,6 +163,23 @@ def test_force_sweep_diagonalizes_each_lambda_once(monkeypatch):
         assert calls == [0.5, 0.75, 1.0, 1.25, 1.5]
 
 
+def test_discord_sweep_diagonalizes_each_J_once(monkeypatch):
+    # 5 J x 25 T: every temperature is a lane of one force-table row
+    eigh, matrices = np.linalg.eigh, []
+
+    def counting_eigh(m):
+        matrices.append(int(np.prod(m.shape[:-2])))
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    curves = sweep.run_sweep(parse_scenario(json.dumps({
+        "model": {"kind": "dimer", "J": 0.5, "b": 0.0}, "parameter": "J",
+        "sweep": {"from": 0.5, "to": 1.5, "points": 5},
+        "temperatures": {"from": 0.25, "to": 5.0, "points": 25},
+        "computations": ["discord"], "output": {"csv": "out.csv"}})))
+    assert len(curves) == 5 and sum(matrices) == 5
+
+
 def test_discord_entropy_change_builds_one_dimer(monkeypatch):
     built, calls = [], []
 
@@ -178,18 +196,19 @@ def test_discord_entropy_change_builds_one_dimer(monkeypatch):
     assert len(calls[0]) == len(set(calls[0])) > 3
 
 
-@pytest.mark.parametrize("value", [None, "0", "abc"])
+@pytest.mark.parametrize("value", [None, "0", "abc", "2", "4"])
 def test_sweeps_run_on_the_calling_thread_by_default(value, monkeypatch):
+    # QCAL_THREADS is accepted and ignored
     if value is None:
         monkeypatch.delenv("QCAL_THREADS", raising=False)
     else:
         monkeypatch.setenv("QCAL_THREADS", value)
     assert sweep.thread_count() == 1
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the sweep opened a thread pool")
+    def no_thread(self):
+        raise AssertionError("the sweep started a thread")
 
-    monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     temps = {"from": 0.5, "to": 2.0, "points": 3}
     dimer = parse_scenario(json.dumps({
         "model": {"kind": "dimer", "J": 0.5, "b": 0.0}, "parameter": "J",
@@ -203,10 +222,9 @@ def test_sweeps_run_on_the_calling_thread_by_default(value, monkeypatch):
         "output": {"csv": "out.csv"}}))
     assert len(sweep.run_sweep(dimer).curves) == 1 + 1 + 3 + 3 + 3
     assert len(sweep.run_sweep(spin).curves) == 1
-    # the guard is live: asking for two workers reaches the pool
-    monkeypatch.setenv("QCAL_THREADS", "2")
-    with pytest.raises(AssertionError, match="thread pool"):
-        sweep.run_sweep(dimer)
+    # the guard is live: a thread pool would start its workers through it
+    with pytest.raises(AssertionError, match="started a thread"):
+        threading.Thread(target=lambda: None).start()
 
 
 @pytest.mark.parametrize("kernel", [isothermal_entropy_change_lanes,

@@ -17,6 +17,7 @@ from qcaloric.caloric import (
     isothermal_entropy_change,
     isothermal_entropy_change_lanes,
 )
+from qcaloric.discord import pair_correlation
 from qcaloric.errors import ComputationError, DegenerateVarianceError
 from qcaloric.models import build_dimer, build_single_spin_zeeman
 from qcaloric.scenario import parse_scenario
@@ -91,6 +92,20 @@ def test_force_sweep_points_equal_generalized_force_bitwise(threads, monkeypatch
                                      for lam in lams), curve.name
 
 
+def test_discord_sweep_points_equal_pair_correlation():
+    # read off the force table: D = |<sigma1.sigma2>| / 6 on the zero-field J-dimer
+    temps = {"from": 0.05, "to": 50.0, "points": 25}
+    lams = np.linspace(-3.0, 3.0, 20).tolist()
+    curves = run_sweep(scenario({"kind": "dimer", "J": -3.0, "b": 0.0}, "J", -3.0, 3.0, temps,
+                                ["discord"]), sweep_values=lams)
+    assert len(curves) == len(lams)
+    for curve, lam in zip(curves, lams):
+        assert curve.name == f"discord_J={lam:g}"
+        for t, d, err in curve.points:
+            assert err == 0.0
+            assert abs(d - pair_correlation(lam, t).discord) <= 1e-12 * d
+
+
 @pytest.mark.parametrize("chunks", [1, 2, 3])
 def test_lane_kernels_equal_single_temperature_calls_in_any_grouping(chunks, singles):
     # value, error_estimate, refinement_levels and the adiabat's path
@@ -126,7 +141,7 @@ def test_sweep_error_names_the_failing_temperature(threads, monkeypatch):
 
 
 def test_sweep_error_names_the_lowest_failing_temperature(monkeypatch):
-    # all three lanes fail; with 2 workers they sit in two chunks
+    # all three lanes fail
     monkeypatch.setenv("QCAL_THREADS", "2")
     with pytest.raises(ComputationError) as err:
         run_sweep(scenario(DIMER, "J", J_I, J_F, {"from": 0.03, "to": 0.05, "points": 3},
