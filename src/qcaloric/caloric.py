@@ -46,7 +46,7 @@ from .errors import (
     ZeroTotalHeatError,
 )
 # hermitian_eigen is not called here; the benchmark's tracer checks this binding
-from .linalg import eigenbasis_diagonal, hermitian_eigen, hermitian_eigen_stack  # noqa: F401
+from .linalg import _sector_spectra, hermitian_eigen  # noqa: F401
 from .models import ParamHamiltonian
 from .thermal import _entropy, _moments_at, _require_lambda, _require_temperature, _spectral_rows
 
@@ -60,7 +60,7 @@ _PICARD_TOL = 1e-11       # largest change of ln T at a node between iterates
 _PICARD_MAX_ITERATIONS = 100
 _VARIANCE_FLOOR_REL = 1e-14   # of (E_max - E_min)^2
 _MATCH_TOL = 1e-10        # kelvin, bisection bracket width
-_FILL_BLOCK = 64          # lambda nodes per stacked eigensolve: bounds the stack's memory
+_FILL_BLOCK = 64          # lambda nodes per fill, so per stacked eigensolve: bounds the stack's memory
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,10 @@ class LatticeHeatSpec:
 class _SpectralCache:
     """Eigen-data of one model as ``thermal._spectral_rows``, memoized per lambda:
     refinement levels and temperature lanes revisit a node, which is
-    diagonalized once. ``fill`` diagonalizes many nodes in stacked LAPACK
-    calls, and ``stack`` returns a level's rows as one array for
+    diagonalized once. ``fill`` diagonalizes many nodes together, each H(lambda)
+    by the sectors of its own sparsity pattern (``linalg._sector_spectra``):
+    one stacked LAPACK call per sector wider than 1, no call for a 1 x 1
+    sector. ``stack`` returns a level's rows as one array for
     ``thermal._moments_at``. ``force`` and ``entropy`` read one node at one T."""
 
     def __init__(self, model: ParamHamiltonian):
@@ -117,8 +119,8 @@ class _SpectralCache:
         self._data: Dict[float, np.ndarray] = {}
 
     def fill(self, lams) -> None:
-        """Diagonalize H at each lam not cached yet, ``_FILL_BLOCK`` matrices
-        per stacked call; H(lam) is built and validated once per node.
+        """Diagonalize H at each lam not cached yet, ``_FILL_BLOCK`` nodes at a
+        time; H(lam) is built and validated once per node.
 
         The fill stops before a node whose H cannot be built: ``rows`` raises
         that error where a caller reads the node, as if unfilled."""
@@ -137,12 +139,10 @@ class _SpectralCache:
             self._solve(block)
 
     def _solve(self, operators: Dict[float, object]) -> None:
-        lams = list(operators)
-        spectra = hermitian_eigen_stack(list(operators.values()))
-        derivatives = np.array([self.model.derivative(lam).matrix for lam in lams])
-        diags = eigenbasis_diagonal(derivatives, spectra.vectors)
-        for lam, levels, diag in zip(lams, spectra.values, diags):
-            self._data[lam] = _spectral_rows(levels, diag)
+        levels, diags = _sector_spectra(
+            np.array([h.matrix for h in operators.values()]),
+            np.array([self.model.derivative(lam).matrix for lam in operators]))
+        self._data.update(zip(operators, _spectral_rows(levels, diags)))
 
     def rows(self, lam: float) -> np.ndarray:
         """The packed rows at lam; H(lam) is diagonalized on first use."""
@@ -214,6 +214,7 @@ def maxwell_residual(model: ParamHamiltonian, lam: float, temperature: float) ->
     cache = _SpectralCache(model)
     h_lam = 1e-4 * max(1.0, abs(lam))
     h_t = 1e-4 * temperature
+    cache.fill([lam + h_lam, lam - h_lam, lam])   # in the order they are read
     ds_dlam = (cache.entropy(lam + h_lam, temperature)
                - cache.entropy(lam - h_lam, temperature)) / (2.0 * h_lam)
     davg_dt = (-cache.force(lam, temperature + h_t)
@@ -406,24 +407,42 @@ def isothermal_entropy_change_direct(model: ParamHamiltonian, lambda_i: float,
     """Oracle route: dS = S(lambda_f, T) - S(lambda_i, T) as a state function."""
     _require_temperature(temperature)
     _require_lambda(lambda_i, lambda_f)
-    cache = _SpectralCache(model)
-    value = 0.0 if lambda_i == lambda_f else (
-        cache.entropy(lambda_f, temperature) - cache.entropy(lambda_i, temperature))
+    value = 0.0
+    if lambda_i != lambda_f:
+        cache = _SpectralCache(model)
+        cache.fill([lambda_f, lambda_i])   # in the order they are read
+        value = cache.entropy(lambda_f, temperature) - cache.entropy(lambda_i, temperature)
     return CaloricResult("entropy_change", value, lambda_i, lambda_f,
                          temperature, "direct", 0.0, 0)
 
 
+@functools.lru_cache(maxsize=None)
+def _refinement_matrix(n: int) -> np.ndarray:
+    """B[j, i] = l_j(y_i), l_j the Lagrange polynomial of Lobatto point j of n
+    and y_i = -cos(pi (2i + 1) / 2n) the points that n -> 2n adds, stored as
+    an (n + 1, n, 1) array indexed [j, i]: B g interpolates g to the new
+    points (barycentric form, Berrut & Trefethen 2004)."""
+    k = np.arange(n + 1)
+    w = np.where(k % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    c = w / (-np.cos(np.pi * (2 * k[:-1, None] + 1) / (2 * n)) + np.cos(np.pi * k / n))
+    interpolate = np.ascontiguousarray((c / c.sum(axis=1, keepdims=True)).T)[:, :, None]
+    interpolate.setflags(write=False)
+    return interpolate
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # a diverging lane stops on NaN
-def _picard(slopes, at, q: np.ndarray, half: float, t0: np.ndarray):
+def _picard(slopes, at, q: np.ndarray, half: float, t0: np.ndarray, u: np.ndarray):
     """Picard iteration u <- ln t0 + half * Q g(u) of u = ln T on one level's
-    nodes, lane by lane, from u = ln t0 at every node; node 0 holds t0.
-    ``slopes(at, t)`` returns du/dlambda for the lane temperatures ``t``
+    nodes, lane by lane, from the iterate ``u`` (node x lane); node 0 holds
+    t0. ``slopes(at, t)`` returns du/dlambda for the lane temperatures ``t``
     (node x lane) in one call, where each lane's guard fails, and
     ``error(node, column)``. A lane stops once no node moves by
     ``_PICARD_TOL``; the first failing node of its last iterate names its
-    error. Returns the node temperatures and per lane None or its error."""
+    error. Returns the node temperatures, their last iterate u and per lane
+    None or its error."""
     u0 = np.log(t0)
-    u, t_nodes = np.tile(u0, (len(q), 1)), np.full((len(q), len(t0)), np.nan)
+    last = np.full(u.shape, np.nan)
     errors, live = [None] * len(t0), np.arange(len(t0))
     for iteration in range(1, _PICARD_MAX_ITERATIONS + 1):
         t = np.exp(u)
@@ -433,7 +452,7 @@ def _picard(slopes, at, q: np.ndarray, half: float, t0: np.ndarray):
         step = np.max(np.abs(new - u), axis=0)
         done = step < _PICARD_TOL
         stop = done | np.isnan(step) | (iteration == _PICARD_MAX_ITERATIONS)
-        t_nodes[:, live[stop]] = np.exp(new[:, stop])
+        last[:, live[stop]] = new[:, stop]
         for c in np.flatnonzero(stop & (~done | bad.any(0))).tolist():
             failed = np.flatnonzero(bad[:, c])
             errors[live[c]] = error(failed[0], c) if failed.size else OdeNoConvergenceError(
@@ -442,21 +461,36 @@ def _picard(slopes, at, q: np.ndarray, half: float, t0: np.ndarray):
         live, u = live[~stop], new[:, ~stop]
         if not live.size:
             break
+    t_nodes = np.exp(last)
     t_nodes[0] = t0
-    return t_nodes, errors
+    return t_nodes, last, errors
 
 
 def _picard_lanes(slopes, a: float, b: float, t_start: np.ndarray, lanes: np.ndarray, prepare):
     """The isentrope as u = ln T on [a, b]: ``_picard`` on the levels of
     ``_refine``, until successive end temperatures agree to 1e-9 K; T = e^u
-    stays > 0. ``prepare(nodes)`` is given each level's nodes and returns
-    what ``slopes`` reads; lanes index ``t_start``. Returns {lane: (T_f,
-    error, levels, path of the final level)}, or the lane's QCaloricError.
+    stays > 0. Level 0 starts from u = ln T_start at every node, and each
+    later level from the lane's last iterate of the level before: its nodes
+    as they were, the new ones interpolated. ``prepare(nodes)`` is given
+    each level's nodes and returns what ``slopes`` reads; lanes index
+    ``t_start``. Returns {lane: (T_f, error, levels, path of the final
+    level)}, or the lane's QCaloricError.
     """
+    last = {}
+
     def step(level, live):
-        lams = _nodes(a, b, _BASE_NODES << level)
-        ts, errors = _picard(slopes, prepare(lams), _integration_matrix(len(lams) - 1),
-                             0.5 * (b - a), t_start[live])
+        n = _BASE_NODES << level
+        lams = _nodes(a, b, n)
+        if level:
+            before = np.array([last[j] for j in live.tolist()]).T
+            u = np.empty((n + 1, len(live)))
+            u[::2] = before
+            u[1::2] = _weighted_sum(_refinement_matrix(n // 2), before)
+        else:
+            u = np.tile(np.log(t_start[live]), (n + 1, 1))
+        ts, us, errors = _picard(slopes, prepare(lams), _integration_matrix(n),
+                                 0.5 * (b - a), t_start[live], u)
+        last.update(zip(live.tolist(), us.T))
         return ts[-1], None, [err or tuple(zip(lams, path))
                               for err, path in zip(errors, ts.T.tolist())]
 
@@ -598,6 +632,7 @@ def adiabatic_temperature_change_matching(model: ParamHamiltonian, lambda_i: flo
         return CaloricResult("temperature_change", 0.0, lambda_i, lambda_f,
                              T_start, "entropy_matching", 0.0, 0)
     cache = _SpectralCache(model)
+    cache.fill([lambda_i, lambda_f])   # in the order they are read
     target = cache.entropy(lambda_i, T_start)
     lo, hi = T_start * 1e-3, T_start * 1e3
     s_lo, s_hi = cache.entropy(lambda_f, lo), cache.entropy(lambda_f, hi)

@@ -3,7 +3,10 @@
 Provides Kronecker products, spin-1/2 operator sets, and a Hermitian
 eigensolver on top of LAPACK. The eigensolver takes a stack of matrices in one
 LAPACK call (``hermitian_eigen_stack``); ``hermitian_eigen`` is its
-one-matrix case. Everything targets dimensions <= 64.
+one-matrix case. ``_sector_spectra``, which the spectral cache of the caloric
+routes reads, solves each matrix by the connected components of its own
+sparsity pattern (for spin Hamiltonians that conserve total S_z, the S_z
+sectors), so an 8-site ring (d = 256) costs eigensolves of width <= 70.
 
 Conventions: matrices are complex128 throughout, even for models that happen
 to be real symmetric. Energies carried by these operators are in kelvin
@@ -12,6 +15,7 @@ to be real symmetric. Energies carried by these operators are in kelvin
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +79,13 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
-        # array methods, not np.all/np.max: every H(lambda) is validated here
-        if not np.isfinite(m.view(float)).all():
+        # array methods, not np.all/np.max: every H(lambda) is validated here.
+        # max|A| is finite whenever every entry is (|a + ib| overflows only
+        # past 1.8e308); checked before A - A', where inf - inf would warn
+        scale = float(np.abs(m).max()) if m.size else 0.0
+        if not scale < np.inf and not np.isfinite(m.view(float)).all():
             raise ValueError("operator matrix has non-finite entries")
         defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        scale = float(np.abs(m).max()) if m.size else 0.0
         if defect > HERMITICITY_RTOL * max(scale, 1e-300):
             raise NonHermitianError(
                 f"hermiticity defect {defect:.3e} exceeds "
@@ -183,3 +189,52 @@ def eigenbasis_diagonal(operator, basis: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"operator dim {m.shape[-1]} does not match basis dim {basis.shape[-2]}")
     return np.real(np.sum(basis.conj() * (m @ basis), axis=-2))
+
+
+@functools.lru_cache(maxsize=64)
+def _sectors(dim: int, key: bytes) -> tuple:
+    """The connected components wider than 1 of a dim x dim sparsity pattern
+    (``key``: its bits packed by ``numpy.packbits``), symmetrized: one index
+    array per component, ascending. A matrix with this pattern is block
+    diagonal on the components; each index outside them is a 1 x 1 block."""
+    linked = np.unpackbits(np.frombuffer(key, np.uint8), count=dim * dim).reshape(dim, dim)
+    linked = (linked | linked.T).astype(bool)
+    label = np.arange(dim)
+    while True:   # each index takes the least label of its neighbours, down to its component's
+        new = np.minimum(label, np.where(linked, label, dim).min(axis=1))
+        if np.array_equal(new, label):
+            break
+        label = new
+    first, size = np.unique(label, return_counts=True)
+    sectors = tuple(np.flatnonzero(label == f) for f in first[size > 1])
+    for idx in sectors:   # shared by every caller of the cache
+        idx.setflags(write=False)
+    return sectors
+
+
+def _sector_spectra(matrices: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
+    """Ascending levels of each of a stack of Hermitian matrices (row 0) and
+    the diagonal of its derivative in the matching eigenbasis (row 1), one
+    column per matrix, solved by the sectors of each matrix's own sparsity
+    pattern.
+
+    Matrices are grouped by pattern; each sector wider than 1 is one stacked
+    LAPACK call over its group (the derivative's diagonal needs only the
+    sector's own block, as an eigenvector has no weight outside it), and a
+    1 x 1 sector is its own level, read off the diagonal. The sectors'
+    levels are merged by a stable sort, so a dense matrix (one sector) gets
+    the bits of its own ``eigh`` call, and a diagonal one its sorted
+    diagonal with ties in their original order."""
+    n = len(matrices)
+    out = np.array((np.diagonal(matrices, 0, 1, 2).real, np.diagonal(derivatives, 0, 1, 2).real))
+    groups = {}
+    for i, key in enumerate(np.packbits((matrices != 0).reshape(n, -1), axis=1)):
+        groups.setdefault(key.tobytes(), []).append(i)
+    for key, nodes in groups.items():
+        rows = np.array(nodes)[:, None]
+        for idx in _sectors(matrices.shape[-1], key):
+            block = rows[:, :, None], idx[:, None], idx
+            values, vectors = _eigh(matrices[block])
+            out[0, rows, idx] = values
+            out[1, rows, idx] = eigenbasis_diagonal(derivatives[block], vectors)
+    return out[:, np.arange(n)[:, None], np.argsort(out[0], axis=1, kind="stable")]

@@ -173,8 +173,9 @@ def _entropy(shifts: np.ndarray, temperature: float) -> float:
 
 
 def _spectral_rows(levels: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """E, an observable's energy-basis diagonal A and E_0 - E."""
-    return np.array((levels, diag, levels[0] - levels))
+    """E, an observable's energy-basis diagonal A and E_0 - E, stacked on the
+    second-last axis: one (3, d) array per node of a stack of them."""
+    return np.stack((levels, diag, levels[..., :1] - levels), axis=-2)
 
 
 def _moments(p: np.ndarray, rows: np.ndarray):

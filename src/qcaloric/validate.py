@@ -102,6 +102,58 @@ def check_eigen_residuals(quick):
                 "(tol 1e-10)")
 
 
+def _ring_model(sites, b):
+    """Heisenberg ring H(J) = J sum_i sigma_i . sigma_i+1 - b S_z, periodic,
+    with J the working parameter; dimension 2^sites."""
+    _, _, sz, *paulis = linalg.spin_half_operators()
+    eye = np.eye(2, dtype=complex)
+
+    def on(ops):   # the product of site operators {site: op}
+        out = np.ones((1, 1), dtype=complex)
+        for k in range(sites):
+            out = linalg.kron(out, ops.get(k, eye))
+        return out
+
+    exchange = sum(on({i: p, (i + 1) % sites: p}) for p in paulis for i in range(sites))
+    total_sz = sum(on({i: sz}) for i in range(sites))
+    return models._affine("J", {"b": b}, -b * total_sz, linalg.HermitianOperator(exchange),
+                          linalg.HermitianOperator(total_sz))
+
+
+def _level_groups(levels, values, tol):
+    """Where each group of levels within ``tol`` of its neighbour starts, and
+    the sum of ``values`` over each group: invariant under any choice of
+    eigenbasis inside a degenerate level."""
+    starts = np.r_[0, np.flatnonzero(np.diff(levels) > tol) + 1]
+    return starts, np.add.reduceat(values, starts)
+
+
+def check_sector_fill(quick):
+    """The spectral cache's sector fill against whole-matrix ``eigh``: levels,
+    and the dH/dlambda diagonal summed over each degenerate level."""
+    cases = [("dimer", models.build_dimer(J=1.0, b=0.3, parameter="J")),
+             ("ring4", _ring_model(4, 0.35)), ("ring6", _ring_model(6, 0.35))]
+    lams = np.linspace(0.6037, 1.3963, 3 if quick else 9)
+    worst_e = worst_a = 0.0
+    for name, model in cases:
+        cache = caloric._SpectralCache(model)
+        rows = cache.stack(lams)
+        for lam, (levels, diag, _) in zip(lams, rows):
+            values, vectors = np.linalg.eigh(model.evaluate(lam).matrix)
+            ref = np.real(np.sum(vectors.conj() * (model.derivative(lam).matrix @ vectors), axis=0))
+            spread = values[-1] - values[0]
+            starts, sums = _level_groups(values, ref, 1e-9 * spread)
+            starts_got, sums_got = _level_groups(levels, diag, 1e-9 * spread)
+            if not np.array_equal(starts, starts_got):
+                return False, f"{name} at J = {lam:g}: degenerate levels grouped differently"
+            worst_e = max(worst_e, float(np.max(np.abs(levels - values))) / spread)
+            worst_a = max(worst_a, float(np.max(np.abs(sums_got - sums))) / max(
+                1.0, float(np.max(np.abs(ref)))))
+    ok = worst_e <= 1e-13 and worst_a <= 1e-12
+    return ok, (f"worst level gap {worst_e:.2e} of the spread (tol 1e-13), worst dH/dJ "
+                f"group-sum gap {worst_a:.2e} (tol 1e-12) on the dimer, ring4 and ring6")
+
+
 def check_kron_associativity(quick):
     rng = np.random.default_rng(14)
     for _ in range(3 if quick else 10):
@@ -522,6 +574,7 @@ CHECKS: List[Check] = [
     ("linalg.charpoly_agreement", check_charpoly_agreement),
     ("linalg.eigen_residuals", check_eigen_residuals),
     ("linalg.kron_associativity", check_kron_associativity),
+    ("linalg.sector_fill", check_sector_fill),
     ("models.derivative_consistency", check_derivative_consistency),
     ("models.dimer_paramagnet_equivalence", check_dimer_paramagnet_equivalence),
     ("thermal.specific_heat_consistency", check_specific_heat_consistency),

@@ -34,6 +34,7 @@ from qcaloric.errors import NonFiniteParameterError, NonPositiveTemperatureError
 from qcaloric.models import build_dimer, build_single_spin_zeeman
 from qcaloric.scenario import parse_scenario
 from qcaloric.thermal import process_decompose, thermal_state
+from qcaloric.validate import _ring_model
 
 INF = math.inf
 NAN = math.nan
@@ -105,6 +106,29 @@ def test_lane_kernel_eigensolve_budget(kernel, budget):
     results = kernel(model, 0.5, 1.5, np.linspace(0.25, 5.0, 25))
     assert all(isinstance(r, CaloricResult) for r in results)
     assert len(calls) == budget
+
+
+@pytest.mark.parametrize("call, iterations", [
+    (lambda: adiabatic_temperature_change_lanes(
+        build_dimer(1.0, 0.3, "J"), 0.5037, 1.4963, np.linspace(0.25, 5.0, 25)), [7, 4, 2]),
+    (lambda: adiabatic_temperature_change(build_dimer(1.0, 0.3, "J"), 0.5, 1.5, 1.0), [6, 4, 2]),
+    (lambda: adiabatic_temperature_change(_ring_model(4, 0.35), 0.6037, 1.3963, 0.9009),
+     [6, 3, 1]),
+], ids=["dimer_25_lanes", "dimer", "ring4"])
+def test_each_picard_level_starts_from_the_last(call, iterations, monkeypatch):
+    # an iteration reads the slopes at every node of its level (9, 17, 33)
+    # once; a cold start from ln T_start at every node takes 7, 6 and 6 per level
+    nodes = []
+    real = caloric._slopes
+
+    def slopes(lattice, at, t):
+        nodes.append(len(t))
+        return real(lattice, at, t)
+
+    monkeypatch.setattr(caloric, "_slopes", slopes)
+    call()
+    assert [nodes.count(n) for n in (9, 17, 33)] == iterations
+    assert len(nodes) == sum(iterations)
 
 
 ZEEMAN = build_single_spin_zeeman(1.0)
@@ -233,27 +257,30 @@ def test_sweeps_run_on_the_calling_thread_by_default(value, monkeypatch):
                          ids=["one_lane", "25_lanes"])
 def test_each_level_or_pass_is_one_stacked_call_per_block(kernel, temps, monkeypatch):
     # the quadrature fills its 9 first nodes, then the new nodes of each level;
-    # the adiabat fills the nodes of each level; a fill stacks at most
-    # _FILL_BLOCK matrices
+    # the adiabat fills the nodes of each level. The dimer's H(lambda) splits
+    # into sectors 1 + 2 + 1, so a fill makes one LAPACK call per block of at
+    # most _FILL_BLOCK nodes, for its 2 x 2 sector, and none for the others
     fills, stacks = [], []
-    real_fill, real_stack = caloric._SpectralCache.fill, caloric.hermitian_eigen_stack
+    real_fill, real_eigh = caloric._SpectralCache.fill, np.linalg.eigh
 
     def fill(cache, lams):
         before, calls = len(cache._data), len(stacks)
         real_fill(cache, lams)
         fills.append((len(cache._data) - before, len(stacks) - calls))
 
-    def stack(operators):
-        stacks.append(len(operators))
-        return real_stack(operators)
+    def eigh(m):
+        stacks.append(m.shape)
+        return real_eigh(m)
 
     monkeypatch.setattr(caloric._SpectralCache, "fill", fill)
-    monkeypatch.setattr(caloric, "hermitian_eigen_stack", stack)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     model, calls = counting_model()
     results = kernel(model, 0.5, 1.5, temps)
     assert len(fills) == 1 + max(r.refinement_levels for r in results)
     assert [n_stacks for _, n_stacks in fills] == [-(-new // caloric._FILL_BLOCK)
                                                    for new, _ in fills]
+    assert {shape[1:] for shape in stacks} == {(2, 2)}
     # every node is built once and diagonalized inside a fill
-    assert sum(stacks) == sum(new for new, _ in fills) == len(calls) == len(set(calls))
-    assert max(stacks) <= caloric._FILL_BLOCK
+    assert (sum(shape[0] for shape in stacks) == sum(new for new, _ in fills)
+            == len(calls) == len(set(calls)))
+    assert max(shape[0] for shape in stacks) <= caloric._FILL_BLOCK

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,22 @@ class TestHermitianOperator:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             HermitianOperator(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, -np.inf, complex(0.0, np.inf),
+                                       complex(np.nan, 1.0)])
+    def test_rejects_non_finite_without_a_warning(self, entry):
+        # an inf pair off the diagonal would warn in A - A' (inf - inf)
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = m[2, 0] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite entries"):
+                HermitianOperator(m)
+
+    def test_accepts_finite_entries_whose_modulus_overflows(self):
+        big = 1.5e308
+        op = HermitianOperator(np.array([[big, big + 1j * big], [big - 1j * big, 0.0]]))
+        assert op.hermiticity_defect == 0.0
 
 
 class TestHermitianEigen:
