@@ -108,11 +108,10 @@ class LatticeHeatSpec:
 class _SpectralCache:
     """Eigen-data of one model as ``thermal._spectral_rows``, memoized per lambda:
     refinement levels and temperature lanes revisit a node, which is
-    diagonalized once. ``fill`` diagonalizes many nodes together, each H(lambda)
-    by the sectors of its own sparsity pattern (``linalg._sector_spectra``):
-    one stacked LAPACK call per sector wider than 1, no call for a 1 x 1
-    sector. ``stack`` returns a level's rows as one array for
-    ``thermal._moments_at``. ``force`` and ``entropy`` read one node at one T."""
+    diagonalized once. ``fill`` diagonalizes many nodes together, by the one
+    sector rule of ``linalg`` (``_sector_spectra``). ``stack`` returns a level's
+    rows as one array for ``thermal._moments_at``. ``force`` and ``entropy``
+    read one node at one T."""
 
     def __init__(self, model: ParamHamiltonian):
         self.model = model

@@ -25,16 +25,15 @@ from .errors import (
     SignCrossingError,
 )
 # hermitian_eigen is not called here; the benchmark's tracer checks this binding
-from .linalg import hermitian_eigen, kron, spin_half_operators  # noqa: F401
+from .linalg import eigenbasis_diagonal, hermitian_eigen, kron, spin_half_operators  # noqa: F401
 from .models import build_dimer
-from .thermal import (_moments_at, _require_lambda, _require_temperature, thermal_average,
-                      thermal_state)
+from .thermal import _moments_at, _require_lambda, _require_temperature, thermal_state
 
 _ISOTROPY_TOL = 1e-8
 
 
-# sigma1^a sigma2^a for a in {x, y, z}, built once
-_PAULI_PAIRS = tuple(kron(s, s) for s in spin_half_operators()[3:])
+# sigma1^a sigma2^a for a in {x, y, z}, stacked once
+_PAULI_PAIRS = np.array([kron(s, s) for s in spin_half_operators()[3:]])
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,9 @@ def pair_correlation(J: float, T: float) -> CorrelationRecord:
     _require_lambda(J)
     model = build_dimer(J=J, b=0.0, parameter="J")
     state = thermal_state(model, J, T)
-    c_x, c_y, c_z = (thermal_average(state, op) for op in _PAULI_PAIRS)
+    # np.dot, as thermal_average: `@` on the strided real part changes last bits
+    c_x, c_y, c_z = map(float, np.dot(eigenbasis_diagonal(_PAULI_PAIRS, state.spectrum.vectors),
+                                      state.populations))
     record = CorrelationRecord(
         J=float(J), T=float(T), c_x=c_x, c_y=c_y, c_z=c_z,
         discord=abs((c_x + c_y + c_z) / 3.0) / 2.0)

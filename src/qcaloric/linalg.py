@@ -1,12 +1,11 @@
 """Dense complex Hermitian linear algebra for small spin Hamiltonians.
 
-Provides Kronecker products, spin-1/2 operator sets, and a Hermitian
-eigensolver on top of LAPACK. The eigensolver takes a stack of matrices in one
-LAPACK call (``hermitian_eigen_stack``); ``hermitian_eigen`` is its
-one-matrix case. ``_sector_spectra``, which the spectral cache of the caloric
-routes reads, solves each matrix by the connected components of its own
-sparsity pattern (for spin Hamiltonians that conserve total S_z, the S_z
-sectors), so an 8-site ring (d = 256) costs eigensolves of width <= 70.
+Provides Kronecker products, spin-1/2 operator sets, and one Hermitian
+eigensolver rule on top of LAPACK (``_sector_solves``): each matrix of a
+stack is solved by the connected components of its own sparsity pattern (for
+spin Hamiltonians that conserve total S_z, the S_z sectors), so an 8-site
+ring (d = 256) costs eigensolves of width <= 70. ``hermitian_eigen_stack``
+and ``_sector_spectra``, which the caloric routes read, are its two views.
 
 Conventions: matrices are complex128 throughout, even for models that happen
 to be real symmetric. Energies carried by these operators are in kelvin
@@ -104,9 +103,9 @@ class HermitianOperator:
 class EigenDecomposition:
     """Spectrum of a Hermitian operator, or of a stack of them.
 
-    ``values`` are real and ascending (tied levels of a diagonal input keep
-    their original order); ``vectors`` holds the matching eigenvectors as
-    columns of a unitary matrix. A stack adds one leading axis to both.
+    ``values`` are real and ascending (tied levels of different sectors, as of
+    a diagonal input, keep their index order); ``vectors`` holds the matching
+    eigenvectors as columns of a unitary matrix. A stack adds one leading axis.
     """
 
     values: np.ndarray
@@ -129,14 +128,12 @@ def _eigh(m: np.ndarray):
 
 
 def hermitian_eigen_stack(operators) -> EigenDecomposition:
-    """Diagonalize equally sized Hermitian operators in one LAPACK call
-    (``numpy.linalg.eigh`` on the stack).
+    """Diagonalize a stack of equally sized Hermitian operators by their
+    sectors (``_sector_solves``), with the eigenvectors embedded per sector.
 
-    Each matrix gets the bits its own ``eigh`` call would give. A matrix
-    that is already diagonal (every tabulated model, the zero matrix) skips
-    the solver: its diagonal is sorted stably, so degenerate levels keep
-    their original order, and the eigenvectors are the matching columns of
-    the identity.
+    A dense matrix gets the bits of its own ``eigh`` call; a diagonal one
+    (every tabulated model, the zero matrix) its diagonal sorted stably, with
+    the matching columns of the identity.
 
     Parameters
     ----------
@@ -154,26 +151,22 @@ def hermitian_eigen_stack(operators) -> EigenDecomposition:
     NoConvergenceError
         LAPACK reports that the eigenvalue iteration failed to converge.
     """
-    m = np.array([a.matrix if isinstance(a, HermitianOperator)
-                  else HermitianOperator(np.asarray(a, dtype=complex)).matrix
+    m = np.array([a.matrix if isinstance(a, HermitianOperator) else HermitianOperator(a).matrix
                   for a in operators])
-    diag = np.diagonal(m, axis1=1, axis2=2)
-    flat = np.count_nonzero(m, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
-    if not flat.any():
-        return EigenDecomposition(*_eigh(m))
-    values, vectors = np.empty(diag.shape), np.empty_like(m)
-    raw = np.real(diag[flat])
-    order = np.argsort(raw, axis=1, kind="stable")
-    values[flat] = np.take_along_axis(raw, order, 1)
-    vectors[flat] = np.eye(m.shape[-1], dtype=complex)[order].transpose(0, 2, 1)
-    if not flat.all():
-        values[~flat], vectors[~flat] = _eigh(m[~flat])
-    return EigenDecomposition(values=values, vectors=vectors)
+    n, d = m.shape[:2]
+    values = np.diagonal(m, 0, 1, 2).real.copy()
+    vectors = np.repeat(np.eye(d, dtype=complex)[None], n, 0)
+    for at, block, levels, basis in _sector_solves(m):
+        values[at], vectors[block] = levels, basis
+    order, rows = np.argsort(values, axis=1, kind="stable"), np.arange(n)[:, None]
+    # fancy indexing returns contiguous arrays; batched matmul on strided ones changes bits
+    return EigenDecomposition(values[rows, order],
+                              vectors[rows[:, None], np.arange(d)[:, None], order[:, None]])
 
 
 def hermitian_eigen(a) -> EigenDecomposition:
     """Diagonalize one Hermitian operator: the one-matrix case of
-    ``hermitian_eigen_stack``, with the same diagonal rule and errors."""
+    ``hermitian_eigen_stack``, with the same sector rule and errors."""
     spectra = hermitian_eigen_stack([a])
     return EigenDecomposition(values=spectra.values[0], vectors=spectra.vectors[0])
 
@@ -212,21 +205,15 @@ def _sectors(dim: int, key: bytes) -> tuple:
     return sectors
 
 
-def _sector_spectra(matrices: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
-    """Ascending levels of each of a stack of Hermitian matrices (row 0) and
-    the diagonal of its derivative in the matching eigenbasis (row 1), one
-    column per matrix, solved by the sectors of each matrix's own sparsity
-    pattern.
-
-    Matrices are grouped by pattern; each sector wider than 1 is one stacked
-    LAPACK call over its group (the derivative's diagonal needs only the
-    sector's own block, as an eigenvector has no weight outside it), and a
-    1 x 1 sector is its own level, read off the diagonal. The sectors'
-    levels are merged by a stable sort, so a dense matrix (one sector) gets
-    the bits of its own ``eigh`` call, and a diagonal one its sorted
-    diagonal with ties in their original order."""
+def _sector_solves(matrices: np.ndarray):
+    """The one eigensolve of a stack of Hermitian matrices: matrices grouped by
+    sparsity pattern, one stacked LAPACK call per sector wider than 1 over its
+    group. Yields per call the (rows, sector) index of its levels, the index
+    of its blocks, and its levels and eigenvectors. A 1 x 1 sector is its own
+    level with a unit eigenvector, and no call. Each view merges the sectors'
+    levels by a stable sort: a dense matrix (one sector) keeps its ``eigh``
+    order, tied levels of different sectors their index order."""
     n = len(matrices)
-    out = np.array((np.diagonal(matrices, 0, 1, 2).real, np.diagonal(derivatives, 0, 1, 2).real))
     groups = {}
     for i, key in enumerate(np.packbits((matrices != 0).reshape(n, -1), axis=1)):
         groups.setdefault(key.tobytes(), []).append(i)
@@ -234,7 +221,16 @@ def _sector_spectra(matrices: np.ndarray, derivatives: np.ndarray) -> np.ndarray
         rows = np.array(nodes)[:, None]
         for idx in _sectors(matrices.shape[-1], key):
             block = rows[:, :, None], idx[:, None], idx
-            values, vectors = _eigh(matrices[block])
-            out[0, rows, idx] = values
-            out[1, rows, idx] = eigenbasis_diagonal(derivatives[block], vectors)
-    return out[:, np.arange(n)[:, None], np.argsort(out[0], axis=1, kind="stable")]
+            yield (rows, idx), block, *_eigh(matrices[block])
+
+
+def _sector_spectra(matrices: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
+    """Ascending levels of each of a stack of Hermitian matrices (row 0) and
+    the diagonal of its derivative in the matching eigenbasis (row 1), one
+    column per matrix. The derivative's diagonal needs only each sector's
+    block, as an eigenvector has no weight outside its sector."""
+    out = np.array((np.diagonal(matrices, 0, 1, 2).real, np.diagonal(derivatives, 0, 1, 2).real))
+    for at, block, levels, basis in _sector_solves(matrices):
+        out[0][at] = levels
+        out[1][at] = eigenbasis_diagonal(derivatives[block], basis)
+    return out[:, np.arange(len(matrices))[:, None], np.argsort(out[0], axis=1, kind="stable")]

@@ -157,12 +157,6 @@ def thermal_state(model: ParamHamiltonian, lam: float, temperature: float) -> Th
     )
 
 
-def entropy_from_populations(populations: np.ndarray) -> float:
-    """Shannon entropy -sum p ln p in k_B units, with 0 ln 0 := 0."""
-    p = populations[populations > 0.0]
-    return max(float(-np.sum(p * np.log(p))), 0.0)
-
-
 def _entropy(shifts: np.ndarray, temperature: float) -> float:
     """S = ln Z0 + <E - E_0> / T at T from the shifts E_0 - E of ascending
     levels, in k_B units. ln Z0 = log1p(sum_{n>0} w_n) with the shifted
