@@ -58,7 +58,6 @@ _QUAD_TOL = 1e-8          # successive-estimate tolerance, relative to the quadr
 _ODE_TOL = 1e-9           # kelvin, successive end-temperature difference
 _PICARD_TOL = 1e-11       # largest change of ln T at a node between iterates
 _PICARD_MAX_ITERATIONS = 100
-_VARIANCE_FLOOR_REL = 1e-14   # of (E_max - E_min)^2
 _MATCH_TOL = 1e-10        # kelvin, bisection bracket width
 _FILL_BLOCK = 64          # lambda nodes per fill, so per stacked eigensolve: bounds the stack's memory
 
@@ -527,23 +526,22 @@ def _walk(slopes, stretches, t_start: np.ndarray, lanes: np.ndarray, depth: int 
 
 
 def _slopes(lattice: Optional[LatticeHeatSpec], at, t: np.ndarray):
-    """du/dlambda = Cov / (var + T^2 c_l) at the nodes ``at`` = (lambdas, rows),
-    c_l = 0 without a ``lattice``; the guard is var[H] >= 1e-14 (E_max -
-    E_min)^2, or c_B + c_l >= 1e-14 with c_B = var / T^2 on the classical one."""
+    """du/dlambda = Cov / heat at the nodes ``at`` = (lambdas, rows), with the
+    heat capacity times T^2, heat = var[H] + T^2 c_l (c_l = 0 without a
+    ``lattice``); a node fails where heat is not positive."""
     lams, rows = at
     _, _, var, cov = _moments_at(rows, t)
     if lattice is None:
-        spread = rows[..., 0, -1] - rows[..., 0, 0]
-        guard, heat, error = var, var, DegenerateVarianceError
-        floor = np.where(spread > 0, _VARIANCE_FLOOR_REL * spread * spread, np.inf)
-        text = ("var[H] = {:.3e} at lambda = {:g}, T = {:g} K (flat spectrum, populations "
-                "frozen in the ground state, or effectively infinite temperature)")
+        heat = shown = var
+        error, text = DegenerateVarianceError, (
+            "var[H] = {:.3e} at lambda = {:g}, T = {:g} K (flat spectrum or populations "
+            "frozen in the ground state)")
     else:
         c_l = lattice(t)
-        guard, heat, error = var / (t * t) + c_l, var + t * t * c_l, ZeroTotalHeatError
-        floor, text = 1e-14, "c_B + c_l = {:.3e} at b = {:g}, T = {:g} K"
-    return (cov / np.where(heat > 0, heat, np.inf), guard < floor,
-            lambda k, c: error(text.format(guard[k, c], lams[k], t[k, c])))
+        heat, shown = var + t * t * c_l, var / (t * t) + c_l
+        error, text = ZeroTotalHeatError, "c_B + c_l = {:.3e} at b = {:g}, T = {:g} K"
+    return (cov / np.where(heat > 0, heat, np.inf), ~(heat > 0),
+            lambda k, c: error(text.format(shown[k, c], lams[k], t[k, c])))
 
 
 def adiabatic_temperature_change_lanes(
@@ -601,9 +599,10 @@ def adiabatic_temperature_change(model: ParamHamiltonian, lambda_i: float,
     NonPositiveTemperatureError
     NonFiniteParameterError
     DegenerateVarianceError
-        var[H] below 1e-14 * (E_max - E_min)^2 at a node of the converged
-        iterate (the first in path order is named): at the start point, or
-        on the deepest half.
+        var[H] not positive at a node of the converged iterate (the first in
+        path order is named), at the start point or on the deepest half: a
+        flat spectrum, or populations frozen in the ground state (T/gap below
+        about 1/690, where the excited ones are clamped to zero).
     OdeNoConvergenceError
         After 100 Picard iterations or 7 node doublings (n = 1 024) on the
         deepest half.
@@ -671,7 +670,7 @@ def classical_adiabatic_temperature_change(model: ParamHamiltonian,
     NoZeemanTermError
         Working parameter is not the field.
     ZeroTotalHeatError
-        c_B + c_l below 1e-14 at a node of the converged iterate.
+        c_B + c_l not positive at a node of the converged iterate.
     OdeNoConvergenceError
     """
     return _single(adiabatic_temperature_change_lanes(

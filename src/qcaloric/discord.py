@@ -78,9 +78,8 @@ def pair_correlation(J: float, T: float) -> CorrelationRecord:
     _require_lambda(J)
     model = build_dimer(J=J, b=0.0, parameter="J")
     state = thermal_state(model, J, T)
-    # np.dot, as thermal_average: `@` on the strided real part changes last bits
-    c_x, c_y, c_z = map(float, np.dot(eigenbasis_diagonal(_PAULI_PAIRS, state.spectrum.vectors),
-                                      state.populations))
+    c_x, c_y, c_z = map(float, eigenbasis_diagonal(_PAULI_PAIRS, state.spectrum.vectors)
+                        @ state.populations)
     record = CorrelationRecord(
         J=float(J), T=float(T), c_x=c_x, c_y=c_y, c_z=c_z,
         discord=abs((c_x + c_y + c_z) / 3.0) / 2.0)

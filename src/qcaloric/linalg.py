@@ -181,7 +181,7 @@ def eigenbasis_diagonal(operator, basis: np.ndarray) -> np.ndarray:
     if m.shape[-1] != basis.shape[-2]:
         raise ValueError(
             f"operator dim {m.shape[-1]} does not match basis dim {basis.shape[-2]}")
-    return np.real(np.sum(basis.conj() * (m @ basis), axis=-2))
+    return np.sum((basis.conj() * (m @ basis)).real, axis=-2)
 
 
 @functools.lru_cache(maxsize=64)

@@ -32,7 +32,8 @@ from .errors import (
 from .linalg import EigenDecomposition, HermitianOperator, eigenbasis_diagonal, hermitian_eigen
 from .models import ParamHamiltonian
 
-# populations below this are clamped to exact zero before entropy sums
+# populations below this are clamped to exact zero, which keeps the moments off
+# denormals; below T/gap ~ 1/690 it makes var[H] exactly 0, where the adiabat raises
 _POPULATION_FLOOR = 1e-300
 # Clenshaw-Curtis stop for the work integral of a process segment, absolute
 # and relative: W and Q then keep two orders of magnitude below 1e-9 of scale

@@ -408,6 +408,19 @@ def check_adiabat_entropy_conservation(quick):
     return worst <= 1e-7, f"worst entropy drift along adiabats {worst:.2e} k_B (tol 1e-7)"
 
 
+def check_zero_field_isentrope(quick):
+    # b = 0: S depends on J/T only, so J 0.5 -> 1.5 doubles T at every T/gap (gap 4J = 2)
+    zero, field = (models.build_dimer(J=1.0, b=b, parameter="J") for b in (0.0, 0.3))
+    ratios = (1.5e-3, 1e-2, 1, 1e3) if quick else (1.5e-3, 3e-3, 1e-2, 3e-2, 0.1, 1, 10, 1e2, 1e3)
+    worst = max(abs(caloric.adiabatic_temperature_change(zero, 0.5, 1.5, 2.0 * r).value
+                    / (4.0 * r) - 1.0) for r in ratios)
+    off = abs(caloric.adiabatic_temperature_change(field, 0.5, 1.5, 0.01).value
+              - caloric.adiabatic_temperature_change_matching(field, 0.5, 1.5, 0.01).value)
+    return worst <= 1e-12 and off <= 1e-9, (
+        f"worst |dT / 2T - 1| {worst:.2e} at T/gap 1.5e-3..1e3 (tol 1e-12); b = 0.3, "
+        f"T = 0.01: |ODE - matching| {off:.2e} K (tol 1e-9)")
+
+
 def check_maxwell_grid(quick):
     n = 6 if quick else 20
     worst = 0.0
@@ -578,6 +591,7 @@ CHECKS: List[Check] = [
     ("caloric.temperature_oracle_equivalence", check_temperature_oracle_equivalence),
     ("caloric.zeeman_reversibility", check_zeeman_reversibility),
     ("caloric.adiabat_entropy_conservation", check_adiabat_entropy_conservation),
+    ("caloric.zero_field_isentrope", check_zero_field_isentrope),
     ("caloric.maxwell_grid", check_maxwell_grid),
     ("caloric.sign_structure", check_sign_structure),
     ("caloric.classical_limits", check_classical_limits),

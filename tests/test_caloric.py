@@ -267,7 +267,8 @@ class TestAdiabaticTemperatureChange:
 
     @pytest.mark.parametrize("lam_i, lam_f, t", [
         (0.5, 1.5, 0.08), (0.3, 2.0, 0.05), (0.5, 1.5, 0.1), (0.5, 1.5, 1.0),
-        (0.5, 1.5, 10.0), (0.5, 1.5, 100.0)])
+        (0.5, 1.5, 10.0), (0.5, 1.5, 100.0), (0.5, 1.5, 0.003), (0.5, 1.5, 0.006),
+        (0.5, 1.5, 0.02), (0.5, 1.5, 0.05), (0.5, 1.5, 2000.0)])
     def test_zero_field_dimer_isentrope_is_exact_at_every_temperature(self, lam_i, lam_f, t):
         # b = 0: S depends on J/T only, so T_f = T J_f / J_i (dT = 2T for 0.5 -> 1.5),
         # reached within 65 nodes at every temperature
@@ -293,18 +294,33 @@ class TestAdiabaticTemperatureChange:
         assert all((x - y) * (b_f - b_i) < 0 for x, y in zip(lams, lams[1:]))
 
     def test_stiff_dimer_isentrope_matches_entropy_matching(self):
-        # J 10 -> 0.1 at T = 5 cools to T = 0.015: the whole-path Picard
-        # iterate crosses frozen populations; the halves converge
+        # J 10 -> 0.1 at T = 5 cools to T = 0.015 on one path
         model = build_dimer(J=1.0, b=0.3, parameter="J")
         res = adiabatic_temperature_change(model, 10.0, 0.1, 5.0)
         ref = adiabatic_temperature_change_matching(model, 10.0, 0.1, 5.0)
         assert res.value == pytest.approx(ref.value, abs=1e-9)
 
+    @pytest.mark.parametrize("t_over_gap", [1.5e-3, 1e-2, 3e-2, 1.0, 10.0, 1e3])
+    def test_field_dimer_isentrope_matches_mpmath_down_to_the_ground_state(self, t_over_gap):
+        # T/gap of the zero-field gap 4 J_i = 2; at T = 0.003 p_1 is ~1e-246 (true gap 1.7)
+        t = 2.0 * t_over_gap
+        model = build_dimer(J=1.0, b=0.3, parameter="J")
+        res = adiabatic_temperature_change(model, 0.5, 1.5, t)
+        exact = float(mp_dimer_matching_change(0.5, 1.5, t, b=0.3))
+        assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert res.refinement_levels <= 3
+
     def test_path_through_a_flat_spectrum_names_it(self):
-        # the b = 0 dimer is flat at J = 0; halving lands a node on it
+        # the b = 0 dimer is flat at J = 0; halving lands a node on it. S(0, T)
+        # = ln 4 exceeds the start entropy at every T, so no quasi-static
+        # adiabat crosses J = 0 and the ODE refuses the path; entropy
+        # matching compares the endpoint states only and ignores the path
         model = build_dimer(J=1.0, b=0.0, parameter="J")
-        with pytest.raises(DegenerateVarianceError, match=r"at lambda = 0, .*flat spectrum"):
+        with pytest.raises(DegenerateVarianceError,
+                           match=r"at lambda = 0, .*\(flat spectrum or populations frozen"):
             adiabatic_temperature_change(model, -0.5, 0.5, 1.0)
+        res = adiabatic_temperature_change_matching(model, -0.5, 0.5, 1.0)
+        assert res.value == pytest.approx(0.744696858627, abs=1e-9)
 
     def test_picard_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(caloric, "_PICARD_MAX_ITERATIONS", 1)
@@ -318,10 +334,11 @@ class TestAdiabaticTemperatureChange:
             adiabatic_temperature_change(model, 0.2, 1.8, 1.0)
 
     def test_degenerate_variance_frozen_populations(self):
-        # far below the gap the excited level is unpopulated: var ~ 0
+        # at T/gap = 1e-3 the excited populations underflow to zero: var is exactly 0
         model = build_dimer(J=1.0, b=0.0, parameter="J")
-        with pytest.raises(DegenerateVarianceError):
-            adiabatic_temperature_change(model, 1.0, 2.0, 0.01)
+        with pytest.raises(DegenerateVarianceError,
+                           match=r"var\[H\] = 0\.000e\+00 at lambda = 1, T = 0\.004 K"):
+            adiabatic_temperature_change(model, 1.0, 2.0, 0.004)
 
     def test_rejects_infinite_start_temperature(self):
         # used to spend the whole RK4 doubling budget before failing

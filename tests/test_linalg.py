@@ -215,6 +215,18 @@ class TestEigenbasisDiagonal:
         with pytest.raises(ValueError):
             eigenbasis_diagonal(np.eye(3), np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_rows_are_contiguous_so_matmul_equals_dot(self, dim):
+        # `@` on a strided view takes another kernel than np.dot and moves last bits
+        rng = np.random.default_rng(dim + 1)
+        basis = hermitian_eigen(random_hermitian(rng, dim)).vectors
+        rows = eigenbasis_diagonal(np.array([random_hermitian(rng, dim) for _ in range(3)]),
+                                   basis)
+        assert rows.shape == (3, dim) and rows.flags.c_contiguous
+        for _ in range(50):
+            weights = rng.dirichlet(np.ones(dim))
+            assert np.array_equal(rows @ weights, np.dot(rows, weights))
+
 
 class TestStackedEigensolver:
     @pytest.mark.parametrize("dim", [2, 4, 16, 64])
