@@ -70,7 +70,6 @@ from .thermal import (
     thermo_point,
     zero_field_susceptibility,
 )
-from .validate import run_checks
 
 __version__ = "0.1.0"
 
@@ -128,3 +127,11 @@ __all__ = [
     "thermo_point",
     "zero_field_susceptibility",
 ]
+
+
+def __getattr__(name):
+    # validate is imported on first use: no other command of the CLI reads it
+    if name == "run_checks":
+        from .validate import run_checks
+        return run_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

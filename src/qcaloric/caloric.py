@@ -17,7 +17,9 @@ signs at once, so the two conventions produce identical temperature changes;
 the Zeeman case (heating when the field grows) pins the physical sign.
 
 Every potential ships with an independent oracle: the state-function entropy
-difference for dS_iso, and entropy-matching root finding for dT_ad.
+difference for dS_iso, and entropy-matching root finding for dT_ad. Every
+route reads its nodes' eigen-data from one ``_SpectralCache.stack`` call
+per level or evaluation.
 
 dS_iso (Clenshaw-Curtis) and the adiabat (Picard iteration on u = ln T)
 read one grid, the nested Chebyshev-Lobatto nodes of each piece of the path
@@ -59,7 +61,7 @@ _ODE_TOL = 1e-9           # kelvin, successive end-temperature difference
 _PICARD_TOL = 1e-11       # largest change of ln T at a node between iterates
 _PICARD_MAX_ITERATIONS = 100
 _MATCH_TOL = 1e-10        # kelvin, bisection bracket width
-_FILL_BLOCK = 64          # lambda nodes per fill, so per stacked eigensolve: bounds the stack's memory
+_FILL_BLOCK = 64          # new lambda nodes per stacked eigensolve: bounds the stack's memory
 
 
 @dataclass(frozen=True)
@@ -107,59 +109,27 @@ class LatticeHeatSpec:
 class _SpectralCache:
     """Eigen-data of one model as ``thermal._spectral_rows``, memoized per lambda:
     refinement levels and temperature lanes revisit a node, which is
-    diagonalized once. ``fill`` diagonalizes many nodes together, by the one
-    sector rule of ``linalg`` (``_sector_spectra``). ``stack`` returns a level's
-    rows as one array for ``thermal._moments_at``. ``force`` and ``entropy``
-    read one node at one T."""
+    diagonalized once. ``stack`` is its one read: every route takes its
+    nodes' rows from it and applies ``thermal._entropy`` or
+    ``thermal._moments_at`` itself."""
 
     def __init__(self, model: ParamHamiltonian):
         self.model = model
         self._data: Dict[float, np.ndarray] = {}
 
-    def fill(self, lams) -> None:
-        """Diagonalize H at each lam not cached yet, ``_FILL_BLOCK`` nodes at a
-        time; H(lam) is built and validated once per node.
-
-        The fill stops before a node whose H cannot be built: ``rows`` raises
-        that error where a caller reads the node, as if unfilled."""
-        block = {}
-        for lam in lams:
-            if lam in self._data or lam in block:
-                continue
-            try:
-                block[lam] = self.model.evaluate(lam)
-            except QCaloricError:
-                break
-            if len(block) == _FILL_BLOCK:
-                self._solve(block)
-                block = {}
-        if block:
-            self._solve(block)
-
-    def _solve(self, operators: Dict[float, object]) -> None:
-        levels, diags = _sector_spectra(
-            np.array([h.matrix for h in operators.values()]),
-            np.array([self.model.derivative(lam).matrix for lam in operators]))
-        self._data.update(zip(operators, _spectral_rows(levels, diags)))
-
-    def rows(self, lam: float) -> np.ndarray:
-        """The packed rows at lam; H(lam) is diagonalized on first use."""
-        if lam not in self._data:
-            self._solve({lam: self.model.evaluate(lam)})
-        return self._data[lam]
-
     def stack(self, lams) -> np.ndarray:
-        """The rows of each of lams after one ``fill`` of them."""
+        """The rows of each of lams, in order. Uncached nodes are built once
+        each, in order, and diagonalized together ``_FILL_BLOCK`` at a time by
+        ``linalg._sector_spectra``; the first that cannot be built raises."""
         lams = list(lams)
-        self.fill(lams)
-        return np.array([self.rows(lam) for lam in lams])
-
-    def entropy(self, lam: float, temperature: float) -> float:
-        _require_temperature(temperature)
-        return _entropy(self.rows(lam)[2], temperature)
-
-    def force(self, lam: float, temperature: float) -> float:
-        return -float(_moments_at(self.rows(lam), np.array([temperature]))[1][0])
+        new = list(dict.fromkeys(lam for lam in lams if lam not in self._data))
+        for k in range(0, len(new), _FILL_BLOCK):
+            block = new[k:k + _FILL_BLOCK]
+            levels, diags = _sector_spectra(
+                np.array([self.model.evaluate(lam).matrix for lam in block]),
+                np.array([self.model.derivative(lam).matrix for lam in block]))
+            self._data.update(zip(block, _spectral_rows(levels, diags)))
+        return np.array([self._data[lam] for lam in lams])
 
 
 def _open_lanes(temperatures, name: str, *lambdas: float):
@@ -197,7 +167,8 @@ def generalized_force(model: ParamHamiltonian, lam: float, temperature: float) -
     """
     _require_temperature(temperature)
     _require_lambda(lam)
-    return _SpectralCache(model).force(lam, temperature)
+    rows = _SpectralCache(model).stack([lam])[0]
+    return -float(_moments_at(rows, np.array([temperature]))[1][0])
 
 
 def maxwell_residual(model: ParamHamiltonian, lam: float, temperature: float) -> float:
@@ -209,15 +180,12 @@ def maxwell_residual(model: ParamHamiltonian, lam: float, temperature: float) ->
     """
     _require_temperature(temperature)
     _require_lambda(lam)
-    cache = _SpectralCache(model)
     h_lam = 1e-4 * max(1.0, abs(lam))
     h_t = 1e-4 * temperature
-    cache.fill([lam + h_lam, lam - h_lam, lam])   # in the order they are read
-    ds_dlam = (cache.entropy(lam + h_lam, temperature)
-               - cache.entropy(lam - h_lam, temperature)) / (2.0 * h_lam)
-    davg_dt = (-cache.force(lam, temperature + h_t)
-               + cache.force(lam, temperature - h_t)) / (2.0 * h_t)
-    return ds_dlam + davg_dt
+    up, down, mid = _SpectralCache(model).stack([lam + h_lam, lam - h_lam, lam])
+    ds_dlam = (_entropy(up[2], temperature) - _entropy(down[2], temperature)) / (2.0 * h_lam)
+    hot, cold = map(float, _moments_at(mid, np.array([temperature + h_t, temperature - h_t]))[1])
+    return ds_dlam + (hot - cold) / (2.0 * h_t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,9 +375,8 @@ def isothermal_entropy_change_direct(model: ParamHamiltonian, lambda_i: float,
     _require_lambda(lambda_i, lambda_f)
     value = 0.0
     if lambda_i != lambda_f:
-        cache = _SpectralCache(model)
-        cache.fill([lambda_f, lambda_i])   # in the order they are read
-        value = cache.entropy(lambda_f, temperature) - cache.entropy(lambda_i, temperature)
+        end, start = _SpectralCache(model).stack([lambda_f, lambda_i])
+        value = _entropy(end[2], temperature) - _entropy(start[2], temperature)
     return CaloricResult("entropy_change", value, lambda_i, lambda_f,
                          temperature, "direct", 0.0, 0)
 
@@ -629,11 +596,12 @@ def adiabatic_temperature_change_matching(model: ParamHamiltonian, lambda_i: flo
     if lambda_i == lambda_f:
         return CaloricResult("temperature_change", 0.0, lambda_i, lambda_f,
                              T_start, "entropy_matching", 0.0, 0)
-    cache = _SpectralCache(model)
-    cache.fill([lambda_i, lambda_f])   # in the order they are read
-    target = cache.entropy(lambda_i, T_start)
+    start, end = _SpectralCache(model).stack([lambda_i, lambda_f])
+    target = _entropy(start[2], T_start)
     lo, hi = T_start * 1e-3, T_start * 1e3
-    s_lo, s_hi = cache.entropy(lambda_f, lo), cache.entropy(lambda_f, hi)
+    for t in (lo, hi):   # an extreme T_start takes its bracket off the floats
+        _require_temperature(t)
+    s_lo, s_hi = _entropy(end[2], lo), _entropy(end[2], hi)
     if not (s_lo <= target <= s_hi):
         raise BracketFailureError(
             f"entropy {target:.6g} k_B not bracketed on T in [{lo:g}, {hi:g}] K "
@@ -641,7 +609,7 @@ def adiabatic_temperature_change_matching(model: ParamHamiltonian, lambda_i: flo
     iterations = 0
     while hi - lo > _MATCH_TOL:
         mid = 0.5 * (lo + hi)
-        if cache.entropy(lambda_f, mid) < target:
+        if _entropy(end[2], mid) < target:
             lo = mid
         else:
             hi = mid

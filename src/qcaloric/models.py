@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     GridTooSmallError,
+    NonFiniteParameterError,
     NonMonotoneGridError,
     OutOfRangeError,
 )
@@ -141,12 +142,21 @@ class ParamHamiltonian:
 def _affine(parameter: str, frozen: Mapping[str, float], h0: np.ndarray,
             v: HermitianOperator, magnetization: HermitianOperator) -> ParamHamiltonian:
     """The family H(lambda) = h0 + lambda * v with the validated constant
-    derivative v; only H(lambda) itself is validated, once per evaluation."""
+    derivative v; only H(lambda) itself is validated, once per evaluation. A
+    lambda at which H overflows raises NonFiniteParameterError."""
+    def evaluate(lam: float) -> HermitianOperator:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = h0 + lam * v.matrix
+        try:
+            return HermitianOperator(h)
+        except ValueError:   # h is square, so its entries are not finite
+            raise NonFiniteParameterError(f"H(lambda) is not finite at lambda = {lam:g}") from None
+
     return ParamHamiltonian(
         dimension=v.dim,
         parameter_name=parameter,
         frozen_params=frozen,
-        evaluate=lambda lam: HermitianOperator(h0 + lam * v.matrix),
+        evaluate=evaluate,
         derivative=lambda lam: v,
         magnetization_operator=magnetization,
     )

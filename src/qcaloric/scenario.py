@@ -203,6 +203,8 @@ def parse_scenario(text: str) -> Scenario:
         sweep = GridSpec(start=to_kelvin_field(sweep.start),
                          stop=to_kelvin_field(sweep.stop),
                          points=sweep.points)
+    if not np.isfinite(sweep.stop - sweep.start):   # the grid's step would overflow
+        raise ValidationError("sweep", "the span to - from must be finite")
     if kind == "tabulated":
         grid = model.get("lambda_grid")
         lo, hi = grid[0], grid[-1]

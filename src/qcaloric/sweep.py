@@ -22,8 +22,7 @@ temperature, the lowest one when several fail.
 
 from __future__ import annotations
 
-import itertools
-import math
+import dataclasses
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,19 +69,18 @@ def _raise_first(comp, lam_desc, temps, results):
 
 
 def _force_table(model, lams, temps, comp) -> np.ndarray:
-    """-<dH/dlambda> per (lambda, T), each lambda diagonalized once with every T
-    as a lane; each entry equals ``generalized_force`` bit for bit. Errors
-    name ``comp``, the computation that reads the table."""
+    """-<dH/dlambda> per (lambda, T) from one read of a spectral cache, each
+    lambda diagonalized once with every T as a lane; each entry equals
+    ``generalized_force`` bit for bit. Errors name ``comp`` and the lambda."""
     for t in temps:
         _wrap(lambda _: _require_temperature(t), comp, t)(lams[0])
-    cache, lanes = _SpectralCache(model), np.array(temps, dtype=float)
-    cache.fill(itertools.takewhile(math.isfinite, lams))   # a non-finite lambda fails in its row
 
-    def row(lam):
+    def build(lam):   # the cache builds each H(lambda) here, so a failure names its lambda
         _require_lambda(lam)
-        return -_moments_at(cache.rows(lam), lanes)[1]
+        return model.evaluate(lam)
 
-    return np.array([_wrap(row, comp, temps[0])(lam) for lam in lams])
+    cache = _SpectralCache(dataclasses.replace(model, evaluate=_wrap(build, comp, temps[0])))
+    return -_moments_at(cache.stack(lams)[:, None], np.array(temps, dtype=float))[1]
 
 
 def run_sweep(scenario: Scenario, *,

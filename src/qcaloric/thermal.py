@@ -367,8 +367,7 @@ def _split(cache, pts, lanes):
         work_steps[k] += got[0]
         error += got[1]
     try:
-        energies = np.array([_moments_at(cache.rows(lam), np.array([t]))[0][0]
-                             for lam, t in pts])
+        energies = _moments_at(cache.stack(lam for lam, _ in pts), np.array(pts)[:, 1])[0]
     except QCaloricError as exc:
         return exc
     heat_steps = np.diff(energies) - work_steps

@@ -400,10 +400,10 @@ def check_adiabat_entropy_conservation(quick):
     worst = 0.0
     for model, lam_i, lam_f, t in _random_caloric_cases(rng, 6 if quick else 20):
         res = caloric.adiabatic_temperature_change(model, lam_i, lam_f, t)
-        cache = caloric._SpectralCache(model)
-        target = cache.entropy(lam_i, t)
-        drift = max(abs(cache.entropy(lam, temp) - target)
-                    for lam, temp in res.path)
+        start, *rows = caloric._SpectralCache(model).stack([lam_i, *(lam for lam, _ in res.path)])
+        target = thermal._entropy(start[2], t)
+        drift = max(abs(thermal._entropy(row[2], temp) - target)
+                    for row, (_, temp) in zip(rows, res.path))
         worst = max(worst, drift)
     return worst <= 1e-7, f"worst entropy drift along adiabats {worst:.2e} k_B (tol 1e-7)"
 

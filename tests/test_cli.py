@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcaloric
 from qcaloric import cli
 from qcaloric.cli import cli_main
 
@@ -80,6 +85,14 @@ class TestScenarioCommands:
         assert cli_main(["adiabatic-sweep", "--scenario", str(path)]) == 3
         assert "computation error" in capsys.readouterr().err
 
+    def test_sweep_whose_span_overflows_is_a_usage_error(self, tmp_path, scenario_file, capsys):
+        path = scenario_file(sweep={"from": -1e308, "to": 1e308, "points": 3},
+                             computations=["force"])
+        assert cli_main(["force", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "qcaloric: error: sweep: the span to - from must be finite\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestDiscordCommand:
     def test_reference_value_printed(self, capsys):
@@ -152,6 +165,18 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 26
+
+
+def test_validate_is_imported_only_for_its_command():
+    # a fresh interpreter: this one has imported validate already
+    code = ("import sys, qcaloric.cli\n"
+            "assert 'qcaloric.validate' not in sys.modules, 'import qcaloric.cli read validate'\n"
+            "from qcaloric import run_checks\n"
+            "assert run_checks.__module__ == 'qcaloric.validate'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qcaloric.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "run_checks" in qcaloric.__all__
 
 
 class TestUsage:

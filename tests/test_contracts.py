@@ -4,6 +4,7 @@ entry point and the eigensolve budget of each route on a reference case."""
 import dataclasses
 import json
 import math
+import re
 import threading
 import warnings
 
@@ -30,11 +31,16 @@ from qcaloric.discord import (
     entropy_change_from_discord,
     pair_correlation,
 )
-from qcaloric.errors import NonFiniteParameterError, NonPositiveTemperatureError
+from qcaloric.errors import (
+    ComputationError,
+    NonFiniteParameterError,
+    NonPositiveTemperatureError,
+    OutOfRangeError,
+)
 from qcaloric.models import build_dimer, build_single_spin_zeeman
 from qcaloric.scenario import parse_scenario
 from qcaloric.thermal import process_decompose, thermal_state
-from qcaloric.validate import _ring_model
+from qcaloric.validate import _ring_model, _tabulated_model
 
 INF = math.inf
 NAN = math.nan
@@ -256,23 +262,25 @@ def test_sweeps_run_on_the_calling_thread_by_default(value, monkeypatch):
 @pytest.mark.parametrize("temps", [[1.0], np.linspace(0.25, 5.0, 25).tolist()],
                          ids=["one_lane", "25_lanes"])
 def test_each_level_or_pass_is_one_stacked_call_per_block(kernel, temps, monkeypatch):
-    # the quadrature fills its 9 first nodes, then the new nodes of each level;
-    # the adiabat fills the nodes of each level. The dimer's H(lambda) splits
-    # into sectors 1 + 2 + 1, so a fill makes one LAPACK call per block of at
-    # most _FILL_BLOCK nodes, for its 2 x 2 sector, and none for the others
+    # the quadrature reads its 9 first nodes, then the nodes of each level,
+    # of which it solves the new ones; the adiabat reads the nodes of each
+    # level. The dimer's H(lambda) splits into sectors 1 + 2 + 1, so a read
+    # makes one LAPACK call per block of at most _FILL_BLOCK new nodes, for
+    # its 2 x 2 sector, and none for the others
     fills, stacks = [], []
-    real_fill, real_eigh = caloric._SpectralCache.fill, np.linalg.eigh
+    real_stack, real_eigh = caloric._SpectralCache.stack, np.linalg.eigh
 
-    def fill(cache, lams):
+    def stack(cache, lams):
         before, calls = len(cache._data), len(stacks)
-        real_fill(cache, lams)
+        rows = real_stack(cache, lams)
         fills.append((len(cache._data) - before, len(stacks) - calls))
+        return rows
 
     def eigh(m):
         stacks.append(m.shape)
         return real_eigh(m)
 
-    monkeypatch.setattr(caloric._SpectralCache, "fill", fill)
+    monkeypatch.setattr(caloric._SpectralCache, "stack", stack)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     model, calls = counting_model()
     results = kernel(model, 0.5, 1.5, temps)
@@ -280,7 +288,70 @@ def test_each_level_or_pass_is_one_stacked_call_per_block(kernel, temps, monkeyp
     assert [n_stacks for _, n_stacks in fills] == [-(-new // caloric._FILL_BLOCK)
                                                    for new, _ in fills]
     assert {shape[1:] for shape in stacks} == {(2, 2)}
-    # every node is built once and diagonalized inside a fill
+    # every node is built once and diagonalized inside a read
     assert (sum(shape[0] for shape in stacks) == sum(new for new, _ in fills)
             == len(calls) == len(set(calls)))
     assert max(shape[0] for shape in stacks) <= caloric._FILL_BLOCK
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: generalized_force(m, 1e308, 1.0),
+    lambda m: isothermal_entropy_change(m, 1.0, 1e308, 1.0),
+    lambda m: thermal_state(m, 1e308, 1.0),
+], ids=["force", "dS_quadrature", "thermal_state"])
+def test_a_finite_lambda_that_overflows_h_is_named_without_a_warning(call):
+    # the J-dimer's sigma1.sigma2 has entries 2: 2 * 1e308 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteParameterError, match=r"not finite at lambda = [0-9.]+e\+30[78]"):
+            call(build_dimer(1.0, 0.3, "J"))
+
+
+# the error contract of the spectral cache's one read, on a table over [0, 2]
+TABLE = _tabulated_model()
+PAST_THE_GRID = "lambda = 2 outside tabulated range \\[0, 2\\]"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: isothermal_entropy_change(TABLE, 0.3, 2.5, 1.0),
+    lambda: adiabatic_temperature_change(TABLE, 0.3, 2.5, 1.0),
+    lambda: process_decompose(TABLE, [(0.3, 1.0), (2.5, 1.0)]),
+], ids=["dS_quadrature", "dT_ode", "decompose"])
+def test_a_path_past_the_table_names_the_first_node_it_cannot_build(call):
+    # the last piece, [2, 2.5], reads its start one ulp inside it
+    with pytest.raises(OutOfRangeError, match=PAST_THE_GRID):
+        call()
+
+
+@pytest.mark.parametrize("kernel", [isothermal_entropy_change_lanes,
+                                    adiabatic_temperature_change_lanes])
+def test_every_lane_of_a_path_past_the_table_carries_its_error(kernel):
+    results = kernel(TABLE, 0.3, 2.5, [0.5, 1.0, 2.0])
+    assert all(isinstance(r, OutOfRangeError) and re.fullmatch(PAST_THE_GRID, str(r))
+               for r in results)
+
+
+@pytest.mark.parametrize("call, lam", [
+    (lambda: isothermal_entropy_change_direct(TABLE, 2.5, -0.5, 1.0), "-0.5"),
+    (lambda: adiabatic_temperature_change_matching(TABLE, -0.5, 2.5, 1.0), "-0.5"),
+    (lambda: maxwell_residual(TABLE, 2.0, 1.0), "2.0002"),
+], ids=["direct", "matching", "maxwell"])
+def test_an_endpoint_route_names_the_first_node_it_reads(call, lam):
+    with pytest.raises(OutOfRangeError, match=f"^lambda = {lam} outside"):
+        call()
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.5, 1.0, 2.5, 3.0], "lambda = 2.5 K, T = 0.5 K: lambda = 2.5 outside tabulated range"),
+    ([0.5, INF], "lambda = inf K, T = 0.5 K: lambda = inf must be finite"),
+], ids=["past_the_grid", "inf"])
+def test_a_force_sweep_names_the_first_lambda_it_cannot_build(values, message):
+    grid = np.linspace(0.0, 2.0, 9)
+    scenario = parse_scenario(json.dumps({
+        "model": {"kind": "tabulated", "lambda_grid": grid.tolist(), "energies": np.column_stack(
+            [0.5 * grid, 1.0 + 0.2 * grid, 2.0 - 0.1 * grid]).tolist()},
+        "sweep": {"from": 0.5, "to": 1.5, "points": 3},
+        "temperatures": {"from": 0.5, "to": 2.0, "points": 3},
+        "computations": ["force"], "output": {"csv": "out.csv"}}))
+    with pytest.raises(ComputationError, match=f"^force failed at {message}"):
+        sweep.run_sweep(scenario, sweep_values=values)

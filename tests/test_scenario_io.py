@@ -96,6 +96,18 @@ class TestParseScenario:
         # re-parse of the serialized (kelvin) form changes nothing
         assert parse_scenario(serialize_scenario(scn)) == scn
 
+    @pytest.mark.parametrize("sweep, units", [
+        ({"from": -1e308, "to": 1e308, "points": 3}, {}),
+        ({"from": 1.5e308, "to": 1.0, "points": 3}, {"g": 2.0, "field_in_tesla": True}),
+    ], ids=["span", "tesla_to_kelvin"])
+    def test_sweep_whose_span_overflows_rejected(self, sweep, units):
+        text = scenario_text(model={"kind": "single_spin", "b": 1.0}, parameter="b",
+                             sweep=sweep, units=units, computations=["force"])
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert err.value.field == "sweep"
+        assert err.value.reason == "the span to - from must be finite"
+
     def test_tabulated_model(self):
         text = scenario_text(
             model={"kind": "tabulated",

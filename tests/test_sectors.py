@@ -17,7 +17,7 @@ from qcaloric.caloric import (
 )
 from qcaloric.linalg import HermitianOperator, eigenbasis_diagonal, hermitian_eigen
 from qcaloric.models import SpectrumTable, _affine, build_dimer, build_tabulated
-from qcaloric.thermal import _spectral_rows, thermal_state, thermo_point
+from qcaloric.thermal import _entropy, _spectral_rows, thermal_state, thermo_point
 from qcaloric.validate import _level_groups, _ring_model
 
 LAMS = [0.6037, 1.0, 1.3963]
@@ -113,7 +113,7 @@ def test_a_node_has_the_bits_of_its_own_fill_whatever_it_is_filled_with():
     ring, lams = _ring_model(4, 0.35), [0.0, 0.6037, -1.0, 1.3963]
     together = caloric._SpectralCache(ring).stack(lams)
     for lam, rows in zip(lams, together):
-        assert np.array_equal(rows, caloric._SpectralCache(ring).rows(lam))
+        assert np.array_equal(rows, caloric._SpectralCache(ring).stack([lam])[0])
 
 
 def test_a_dense_matrix_is_one_call_and_a_diagonal_one_none(monkeypatch):
@@ -127,9 +127,9 @@ def test_a_dense_matrix_is_one_call_and_a_diagonal_one_none(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     rng = np.random.default_rng(6)
     h0, v = (m + m.T for m in rng.normal(size=(2, 5, 5)))
-    caloric._SpectralCache(affine(h0 + 0j, v + 0j)).fill(LAMS)
+    caloric._SpectralCache(affine(h0 + 0j, v + 0j)).stack(LAMS)
     assert widths == [(3, 5, 5)]
-    caloric._SpectralCache(affine(np.diag([3.0, 1.0, 2.0]) + 0j, np.eye(3, dtype=complex))).fill(LAMS)
+    caloric._SpectralCache(affine(np.diag([3.0, 1.0, 2.0]) + 0j, np.eye(3, dtype=complex))).stack(LAMS)
     assert widths == [(3, 5, 5)]
 
 
@@ -158,17 +158,17 @@ def test_ring8_meets_its_oracles_on_sectors_no_wider_than_70(monkeypatch):
     (lambda model, _i, _f, t: maxwell_residual(model, 1.0, t), [1.0 + 1e-4, 1.0 - 1e-4, 1.0]),
 ], ids=["direct", "matching", "maxwell"])
 def test_endpoint_routes_fill_their_endpoints_together(route, nodes, monkeypatch):
-    fills = []
-    real_fill = caloric._SpectralCache.fill
+    reads = []
+    real_stack = caloric._SpectralCache.stack
 
-    def fill(cache, lams):
+    def stack(cache, lams):
         lams = list(lams)
-        fills.append(lams)
-        real_fill(cache, lams)
+        reads.append(lams)
+        return real_stack(cache, lams)
 
-    monkeypatch.setattr(caloric._SpectralCache, "fill", fill)
+    monkeypatch.setattr(caloric._SpectralCache, "stack", stack)
     route(_ring_model(6, 0.35), 0.6037, 1.3963, 1.0)
-    assert fills == [nodes]
+    assert reads == [nodes]
 
 
 @pytest.mark.parametrize("model", [
@@ -176,12 +176,11 @@ def test_endpoint_routes_fill_their_endpoints_together(route, nodes, monkeypatch
     hidden_blocks(7, 11), tied_table()], ids=["ring4", "ring6", "dimer", "hidden", "table"])
 def test_thermal_state_reads_the_levels_of_the_spectral_cache(model):
     lams, t = np.linspace(0.6, 1.4, 9), 1.3
-    cache = caloric._SpectralCache(model)
-    cache.fill(lams)
-    for lam in lams:
+    rows = caloric._SpectralCache(model).stack(lams)
+    for lam, (levels, _, shifts) in zip(lams, rows):
         state = thermal_state(model, lam, t)
-        assert np.array_equal(state.spectrum.values, cache.rows(lam)[0])
-        assert thermo_point(state).entropy == cache.entropy(lam, t)
+        assert np.array_equal(state.spectrum.values, levels)
+        assert thermo_point(state).entropy == _entropy(shifts, t)
 
 
 @pytest.mark.parametrize("seed, dim", [(1, 4), (1, 6), (1, 8), (11, 12), (9, 16), (11, 16)])
