@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -50,7 +51,8 @@ from .errors import (
 # hermitian_eigen is not called here; the benchmark's tracer checks this binding
 from .linalg import _sector_spectra, hermitian_eigen  # noqa: F401
 from .models import ParamHamiltonian
-from .thermal import _entropy, _moments_at, _require_lambda, _require_temperature, _spectral_rows
+from .thermal import (
+    _TINY, _entropy, _moments_at, _require_lambda, _require_temperature, _spectral_rows)
 
 _BASE_NODES = 8           # Lobatto intervals of level 0; level L has 8 * 2^L
 _QUAD_MAX_DOUBLINGS = 14  # n = 131 072
@@ -60,8 +62,10 @@ _QUAD_TOL = 1e-8          # successive-estimate tolerance, relative to the quadr
 _ODE_TOL = 1e-9           # kelvin, successive end-temperature difference
 _PICARD_TOL = 1e-11       # largest change of ln T at a node between iterates
 _PICARD_MAX_ITERATIONS = 100
-_MATCH_TOL = 1e-10        # kelvin, bisection bracket width
+_MATCH_TOL = 1e-10        # kelvin, width of the sign-change bracket where Brent's method stops
 _FILL_BLOCK = 64          # new lambda nodes per stacked eigensolve: bounds the stack's memory
+_SUM_BLOCK = 1 << 17      # floats in one block of a weighted sum's product (1 MiB)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -230,13 +234,20 @@ def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _weighted_sum(coefs, rows: np.ndarray) -> np.ndarray:
-    """sum_j coefs[j] * rows[j], accumulated node by node, so that every lane
-    (column of a row) gets the same bits however many lanes there are."""
-    total = coefs[0] * rows[0]
-    for c, row in zip(coefs[1:], rows[1:]):
-        total = total + c * row
-    return total
+def _weighted_sum(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_j matrix[j, k] * rows[j] for each k, for a (J, K, 1) matrix and
+    (J, lanes) rows, as one np.add.reduce over j per block of k. numpy
+    accumulates a leading-axis reduction node by node wherever a block has
+    more than one output (a lone one it sums pairwise: the quadrature passes
+    f and |f|), so every lane (column of a row) gets the same bits however
+    many lanes there are; the blocks keep the product under _SUM_BLOCK
+    floats (one k at least)."""
+    rows = rows[:, None]
+    out = np.empty((matrix.shape[1], rows.shape[2]))
+    step = max(1, _SUM_BLOCK // rows.size)
+    for k in range(0, len(out), step):
+        np.add.reduce(matrix[:, k:k + step] * rows, 0, out=out[k:k + step])
+    return out
 
 
 def _refine(step, lanes: np.ndarray, close, fail, max_level: int):
@@ -244,8 +255,9 @@ def _refine(step, lanes: np.ndarray, close, fail, max_level: int):
     integrates the live lanes (an index array) on 8 * 2^L + 1 Lobatto nodes.
     ``step(level, lanes)`` returns each lane's estimate, the scale its
     difference is measured against, and its payload or QCaloricError; a lane
-    is frozen once ``close(difference, scale)`` holds, and one still open
-    after ``max_level`` gets ``fail(difference)``.
+    is frozen once ``close(difference, scale)`` holds. ``fail(why)`` makes
+    the route's error for a lane still open after ``max_level``, and at once
+    for a lane whose estimate is not finite, which no level would mend.
     Returns {lane: (estimate, difference, level, payload)} or its error."""
     out, last = {}, None
     try:
@@ -254,13 +266,17 @@ def _refine(step, lanes: np.ndarray, close, fail, max_level: int):
                 return out
             estimate, scale, payloads = step(level, lanes)
             ok = np.array([not isinstance(p, QCaloricError) for p in payloads], dtype=bool)
+            for j in np.flatnonzero(ok & ~np.isfinite(estimate)).tolist():
+                ok[j], payloads[j] = False, fail(
+                    f"at level {level} (estimate {estimate[j]:g} is not finite)")
             diff = np.abs(estimate - last) if level else np.full(len(lanes), np.inf)
             done = ok & close(diff, scale)
             for j in np.flatnonzero(done | ~ok).tolist():
                 out[int(lanes[j])] = payloads[j] if not ok[j] else (
                     float(estimate[j]), float(diff[j]), level, payloads[j])
             lanes, last, diff = (x[ok & ~done] for x in (lanes, estimate, diff))
-        out.update((lane, fail(err)) for lane, err in zip(lanes.tolist(), diff.tolist()))
+        out.update((lane, fail(f"after {max_level} doublings (last difference {err:.3e})"))
+                   for lane, err in zip(lanes.tolist(), diff.tolist()))
     except QCaloricError as exc:
         out.update(dict.fromkeys(lanes.tolist(), exc))
     return out
@@ -279,14 +295,13 @@ def _clenshaw_curtis_lanes(f, a: float, b: float, lanes: np.ndarray, what: str,
         n = _BASE_NODES << level
         rows = f(_nodes(a, b, n), live)
         # f and |f| summed in one pass; the weights are positive
-        sums = 0.5 * (b - a) * _weighted_sum(_clenshaw_curtis_weights(n)[:, None],
-                                             np.hstack([rows, np.abs(rows)]))
+        sums = 0.5 * (b - a) * _weighted_sum(_clenshaw_curtis_weights(n)[:, None, None],
+                                             np.hstack([rows, np.abs(rows)]))[0]
         return sums[:len(live)], np.abs(sums[len(live):]), [None] * len(live)
 
     return _refine(step, lanes, lambda diff, scale: diff <= tol * scale,
-                   lambda err: QuadratureNoConvergenceError(
-                       f"{what}: Clenshaw-Curtis not converged after {_QUAD_MAX_DOUBLINGS} "
-                       f"doublings (last difference {err:.3e})"), _QUAD_MAX_DOUBLINGS)
+                   lambda why: QuadratureNoConvergenceError(
+                       f"{what}: Clenshaw-Curtis not converged {why}"), _QUAD_MAX_DOUBLINGS)
 
 
 def _join_pieces(done: dict, piece: dict, live: np.ndarray, join) -> np.ndarray:
@@ -334,6 +349,8 @@ def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
         t_sq = temps * temps
         done = {}
         for a, b, read in _pieces(model, lambda_i, lambda_f):
+            # below T ~ 1e-162, T^2 is 0 and the integrand 0 / 0: _refine fails the lane
+            @np.errstate(divide="ignore", invalid="ignore")
             def integrand(nodes, lanes, read=read):
                 rows = cache.stack(read(lam) for lam in nodes)[:, None]
                 return -_moments_at(rows, temps[lanes])[3] / t_sq[lanes]
@@ -460,9 +477,8 @@ def _picard_lanes(slopes, a: float, b: float, t_start: np.ndarray, lanes: np.nda
                               for err, path in zip(errors, ts.T.tolist())]
 
     return _refine(step, lanes, lambda diff, _: diff < _ODE_TOL,
-                   lambda err: OdeNoConvergenceError(
-                       f"end temperature not stable after {_ODE_MAX_DOUBLINGS} node "
-                       f"doublings (last difference {err:.3e} K)"), _ODE_MAX_DOUBLINGS)
+                   lambda why: OdeNoConvergenceError(f"end temperature not stable {why}"),
+                   _ODE_MAX_DOUBLINGS)
 
 
 def _join_walks(before, after):
@@ -578,46 +594,89 @@ def adiabatic_temperature_change(model: ParamHamiltonian, lambda_i: float,
         model, lambda_i, lambda_f, [T_start]))
 
 
+def _brent(f, a: float, b: float, fa: float, fb: float):
+    """A root of f in the sign-change bracket [a, b] (fa, fb of opposite sign
+    or zero) by Brent's method (Brent 1973, Algorithms for Minimization
+    without Derivatives, ch. 4): inverse quadratic or secant steps, and a
+    bisection wherever they would not shrink the bracket fast enough; no
+    step is shorter than half the stopping width. Stops once the bracket
+    [b, c] is at most ``_MATCH_TOL`` wide (4 ulps of b where the floats are
+    coarser) and returns its midpoint; an exact zero f(b) = 0 returns b,
+    where f may be flat. Returns (root, bracket width, evaluations of f)."""
+    c, fc, evaluations = a, fa, 0
+    d = e = b - a
+    while True:
+        if (fb > 0) == (fc > 0):   # the root lies between a and b: c takes a's side
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):      # b is the best estimate so far
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = max(0.5 * _MATCH_TOL, 2.0 * _EPS * abs(b))
+        m = 0.5 * (c - b)
+        if fb == 0:
+            return b, 0.0, evaluations
+        if abs(m) <= tol:
+            return b + m, abs(c - b), evaluations
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:             # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:                  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0 else q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb, evaluations = f(b), evaluations + 1
+
+
 def adiabatic_temperature_change_matching(model: ParamHamiltonian, lambda_i: float,
                                           lambda_f: float, T_start: float) -> CaloricResult:
     """Oracle route: find T_f with S(lambda_f, T_f) = S(lambda_i, T_start).
 
-    Bracketing bisection on T in [T_start*1e-3, T_start*1e3] to a bracket
-    width of 1e-10 K; entropy grows monotonically with temperature, so the
-    bracket test is two endpoint evaluations.
+    Brent's method on T in [T_start*1e-3, T_start*1e3] to a bracket width
+    of 1e-10 K; entropy grows monotonically with temperature, so the
+    bracket test is two endpoint evaluations. ``refinement_levels`` counts
+    the entropy evaluations at lambda_f, the two bracket ends included, and
+    ``error_estimate`` is the final bracket width (0 where S(lambda_f, T)
+    hits the target exactly).
 
     Raises
     ------
     BracketFailureError
-        Target entropy not attained inside the bracket.
+        Target entropy not attained inside the bracket, or the bracket
+        leaves the normal floats (T_start above about 1.8e305 K or below
+        about 2.2e-305 K).
     """
     _require_temperature(T_start, "T_start")
     _require_lambda(lambda_i, lambda_f)
     if lambda_i == lambda_f:
         return CaloricResult("temperature_change", 0.0, lambda_i, lambda_f,
                              T_start, "entropy_matching", 0.0, 0)
+    lo, hi = T_start * 1e-3, T_start * 1e3
+    if not _TINY <= lo < hi < math.inf:
+        raise BracketFailureError(
+            f"T_start = {T_start:g} K puts the matching bracket [T_start*1e-3, T_start*1e3] "
+            f"= [{lo:g}, {hi:g}] K off the normal floats")
     start, end = _SpectralCache(model).stack([lambda_i, lambda_f])
     target = _entropy(start[2], T_start)
-    lo, hi = T_start * 1e-3, T_start * 1e3
-    for t in (lo, hi):   # an extreme T_start takes its bracket off the floats
-        _require_temperature(t)
     s_lo, s_hi = _entropy(end[2], lo), _entropy(end[2], hi)
     if not (s_lo <= target <= s_hi):
         raise BracketFailureError(
             f"entropy {target:.6g} k_B not bracketed on T in [{lo:g}, {hi:g}] K "
             f"(S range [{s_lo:.6g}, {s_hi:.6g}])")
-    iterations = 0
-    while hi - lo > _MATCH_TOL:
-        mid = 0.5 * (lo + hi)
-        if _entropy(end[2], mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    t_end = 0.5 * (lo + hi)
+    t_end, width, evaluations = _brent(lambda t: _entropy(end[2], t) - target,
+                                       lo, hi, s_lo - target, s_hi - target)
     return CaloricResult("temperature_change", t_end - T_start, lambda_i,
                          lambda_f, T_start, "entropy_matching",
-                         hi - lo, iterations)
+                         width, evaluations + 2)
 
 
 def classical_adiabatic_temperature_change(model: ParamHamiltonian,

@@ -72,7 +72,8 @@ class DegenerateVarianceError(QCaloricError):
 
 
 class BracketFailureError(QCaloricError):
-    """Entropy level not attained inside the bisection bracket."""
+    """Entropy level not attained inside the matching bracket
+    [T_start*1e-3, T_start*1e3], or that bracket is off the normal floats."""
 
 
 class ZeroTotalHeatError(QCaloricError):

@@ -234,7 +234,7 @@ def build_tabulated(table: SpectrumTable) -> ParamHamiltonian:
     node_deriv.setflags(write=False)
 
     def _check_range(lam: float):
-        if lam < lo or lam > hi:
+        if not lo <= lam <= hi:   # NaN is out of range too
             raise OutOfRangeError(
                 f"lambda = {lam:g} outside tabulated range [{lo:g}, {hi:g}]")
 

@@ -16,6 +16,7 @@ keep their accuracy at low T), over temperature lanes and lambda nodes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -38,6 +39,7 @@ _POPULATION_FLOOR = 1e-300
 # Clenshaw-Curtis stop for the work integral of a process segment, absolute
 # and relative: W and Q then keep two orders of magnitude below 1e-9 of scale
 _DECOMPOSE_TOL = 1e-10
+_TINY = sys.float_info.min   # the smallest normal float, 2.2e-308
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,16 @@ class ProcessDecomposition:
 
 
 def _require_temperature(temperature: float, name: str = "T") -> None:
-    """Raise NonPositiveTemperatureError unless 0 < T < inf (NaN fails too)."""
+    """Raise NonPositiveTemperatureError unless 0 < T < inf (NaN fails too)
+    and T is a normal float: below ``_TINY`` the shifts / T of
+    ``_boltzmann`` overflow for any level spacing above about 1e-12 K."""
     if not 0 < temperature < math.inf:
         raise NonPositiveTemperatureError(
             f"{name} = {temperature:g} K must be finite and > 0")
+    if temperature < _TINY:
+        raise NonPositiveTemperatureError(
+            f"{name} = {temperature:g} K is subnormal: it must be at least {_TINY:g} K, "
+            f"the smallest normal float")
 
 
 def _require_lambda(*values: float) -> None:

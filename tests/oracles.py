@@ -89,6 +89,25 @@ def mp_dimer_matching_change(J_i, J_f, T_start, b=0.0):
         return t_end - T_start
 
 
+def eigh_matching_temperature(matrix_i, matrix_f, T_start):
+    """T_f with S(H_f, T_f) = S(H_i, T_start) for Hermitian matrices: levels
+    by numpy's whole-matrix eigvalsh, S = -sum p ln p, and bisection on
+    [T_start * 1e-3, T_start * 1e3] down to 1e-13 * T_f."""
+    def entropy(levels, T):
+        return shannon(boltzmann(levels, T))
+
+    target = entropy(np.linalg.eigvalsh(matrix_i), T_start)
+    levels = np.linalg.eigvalsh(matrix_f)
+    lo, hi = T_start * 1e-3, T_start * 1e3
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if entropy(levels, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # --- single spin: H = -b Sz, levels (-b/2, +b/2) -----------------------------
 
 def spin_entropy(b, T):

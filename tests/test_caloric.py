@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,11 +32,13 @@ from qcaloric.models import (
     build_single_spin_zeeman,
     build_tabulated,
 )
+from qcaloric.validate import _ring_model
 
 from oracles import (
     dimer_entropy,
     dimer_exchange_average,
     dimer_matching_temperature,
+    eigh_matching_temperature,
     mp_dimer_entropy,
     mp_dimer_matching_change,
     spin_entropy,
@@ -387,6 +391,137 @@ class TestEntropyMatching:
         model = build_single_spin_zeeman(1.0)
         with pytest.raises(BracketFailureError):
             adiabatic_temperature_change_matching(model, 1.0, 1e6, 1.0)
+
+    @pytest.mark.parametrize("t_start, bracket", [
+        (1e306, r"\[1e\+303, inf\]"), (1e-306, r"\[1e-309, 1e-303\]")])
+    def test_a_bracket_off_the_normal_floats_names_t_start(self, t_start, bracket):
+        # T_start * 1e3 overflowed and was named as "T = inf K", a
+        # temperature the caller never passed
+        model = build_dimer(J=0.5, b=0.3, parameter="J")
+        with pytest.raises(BracketFailureError,
+                           match=re.escape(f"T_start = {t_start:g} K") + f".*{bracket} K off"):
+            adiabatic_temperature_change_matching(model, 0.5, 1.5, t_start)
+
+    def test_a_bracket_wider_than_the_float_spacing_stops(self):
+        # at T_f ~ 2e6 adjacent floats are 2.3e-10 K apart, wider than the
+        # 1e-10 K bracket: a loop waiting for that width never ends
+        model = build_dimer(J=0.5, b=0.3, parameter="J")
+        res = adiabatic_temperature_change_matching(model, 0.5, 1.5, 1e6)
+        assert math.isfinite(res.value) and res.refinement_levels <= 100
+
+
+# a b = 0.35 spin ring J 0.6037 -> 1.3963, as the benchmark's ring_spectra
+RINGS = {sites: _ring_model(sites, 0.35) for sites in (4, 6)}
+RING_MATCHING = [pytest.param(model, t, id=f"{name}-T{t:g}")
+                 for name, model in [("dimer", build_dimer(J=0.5, b=0.3, parameter="J")),
+                                     ("ring4", RINGS[4]), ("ring6", RINGS[6])]
+                 for t in (0.3, 1.0, 3.0, 10.0)]
+
+
+def ends(model):
+    return (0.5, 1.5) if model.dimension == 4 else (0.6037, 1.3963)
+
+
+class TestBrentMatching:
+    @pytest.mark.parametrize("model, t", RING_MATCHING)
+    def test_counts_its_entropy_evaluations(self, model, t, monkeypatch):
+        # bisection to the same bracket takes 42-47 here
+        calls = []
+
+        def counting(shifts, temperature):
+            calls.append(temperature)
+            return entropy(shifts, temperature)
+
+        entropy = caloric._entropy
+        monkeypatch.setattr(caloric, "_entropy", counting)
+        res = adiabatic_temperature_change_matching(model, *ends(model), t)
+        # one evaluation is the target S(lambda_i, T_start)
+        assert res.refinement_levels == len(calls) - 1 <= 35
+
+    @pytest.mark.parametrize("model, t", RING_MATCHING)
+    def test_agrees_with_an_eigh_bisection(self, model, t):
+        lam_i, lam_f = ends(model)
+        res = adiabatic_temperature_change_matching(model, lam_i, lam_f, t)
+        ref = eigh_matching_temperature(model.evaluate(lam_i).matrix,
+                                        model.evaluate(lam_f).matrix, t)
+        assert abs(t + res.value - ref) <= 1e-10
+        assert 0.0 <= res.error_estimate <= caloric._MATCH_TOL
+
+    @pytest.mark.parametrize("b", [0.0, 0.3])
+    def test_low_temperature_matches_mpmath(self, b):
+        model = build_dimer(J=0.5, b=b, parameter="J")
+        res = adiabatic_temperature_change_matching(model, 0.5, 1.5, 0.05)
+        assert abs(res.value - float(mp_dimer_matching_change(0.5, 1.5, 0.05, b=b))) <= 1e-10
+
+    def test_an_exact_root_on_a_flat_entropy_is_returned(self):
+        # at T = 100 S(lambda_f, T) is flat to its last bit over a stretch of
+        # T; the midpoint of the bracket around such a root came out 0.245 K off
+        model = RINGS[4]
+        res = adiabatic_temperature_change_matching(model, 0.6037, 1.3963, 100.0)
+        ref = eigh_matching_temperature(model.evaluate(0.6037).matrix,
+                                        model.evaluate(1.3963).matrix, 100.0)
+        assert res.error_estimate == 0.0 and abs(100.0 + res.value - ref) <= 1e-9
+
+    def test_an_exact_zero_is_returned_as_it_is(self):
+        # f is 0 on all of [1, 3]: Brent's first secant step lands there
+        def flat(t):
+            return min(t - 1.0, 0.0) + max(t - 3.0, 0.0)
+
+        root, width, evaluations = caloric._brent(flat, 0.0, 10.0, flat(0.0), flat(10.0))
+        assert flat(root) == 0.0 and width == 0.0 and evaluations >= 1
+
+    @pytest.mark.parametrize("root", [1e-3, 0.1, 0.7, 1.0, 42.0, 999.0])
+    def test_stops_on_a_bracket_of_the_match_tolerance(self, root):
+        def f(t):
+            return math.log(t / root)
+
+        got, width, evaluations = caloric._brent(f, 1e-3, 1e3, f(1e-3), f(1e3))
+        assert 0.0 <= width <= caloric._MATCH_TOL
+        assert abs(got - root) <= 0.5 * width and evaluations <= 60
+
+
+def node_by_node(matrix, rows):
+    """sum_j matrix[j] * rows[j] with one node added at a time."""
+    total = matrix[0] * rows[:1]
+    for weights, row in zip(matrix[1:], rows[1:]):
+        total = total + weights * row
+    return total
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("lanes", [1, 25])
+    @pytest.mark.parametrize("kind", ["integration", "refinement", "clenshaw_curtis"])
+    def test_equals_the_node_by_node_loop_bit_for_bit(self, n, lanes, kind):
+        rng = np.random.default_rng(n + lanes)
+        rows = rng.standard_normal((n + 1, lanes)) * np.exp(rng.uniform(-30, 30, (n + 1, lanes)))
+        quadrature = kind == "clenshaw_curtis"
+        matrix = (caloric._clenshaw_curtis_weights(n)[:, None, None] if quadrature
+                  else getattr(caloric, f"_{kind}_matrix")(n))
+
+        def columns(g):   # the quadrature sums f and |f| side by side
+            return np.hstack([g, np.abs(g)]) if quadrature else g
+
+        got = caloric._weighted_sum(matrix, columns(rows))
+        assert got.tobytes() == node_by_node(matrix, columns(rows)).tobytes()
+        # each lane gets the bits of its single-lane sum
+        for j in (0, lanes - 1):
+            alone = caloric._weighted_sum(matrix, columns(rows[:, j:j + 1]))
+            assert got[:, j::lanes].tobytes() == alone.tobytes()
+
+    def test_its_product_stays_within_one_block(self):
+        # unblocked, the product of the n = 1 024 integration matrix with
+        # 25 lanes holds 1 025^2 * 25 floats, 210 MB
+        n, lanes = 1024, 25
+        matrix, rows = caloric._integration_matrix(n), np.ones((n + 1, lanes))
+        tracemalloc.start()
+        try:
+            out = caloric._weighted_sum(matrix, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of the product, and the two buffers of numpy's multiply
+        assert peak - out.nbytes <= 8 * (caloric._SUM_BLOCK + 2 * np.getbufsize())
 
 
 class TestZeemanReversibility:

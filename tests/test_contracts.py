@@ -36,6 +36,7 @@ from qcaloric.errors import (
     NonFiniteParameterError,
     NonPositiveTemperatureError,
     OutOfRangeError,
+    QuadratureNoConvergenceError,
 )
 from qcaloric.models import build_dimer, build_single_spin_zeeman
 from qcaloric.scenario import parse_scenario
@@ -355,3 +356,36 @@ def test_a_force_sweep_names_the_first_lambda_it_cannot_build(values, message):
         "computations": ["force"], "output": {"csv": "out.csv"}}))
     with pytest.raises(ComputationError, match=f"^force failed at {message}"):
         sweep.run_sweep(scenario, sweep_values=values)
+
+
+def test_a_non_finite_quadrature_lane_fails_at_its_first_level_without_a_warning():
+    # below T ~ 1e-162, T^2 is 0 and the integrand 0 / 0: the quadrature
+    # warned and doubled to 131 073 nodes before it raised
+    model, calls = counting_model(build_dimer(0.5, 0.3, "J"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureNoConvergenceError,
+                           match=r"not converged at level 0 \(estimate nan is not finite\)$"):
+            isothermal_entropy_change(model, 0.5, 1.5, 1e-200)
+        assert len(calls) == 9   # level 0's nodes
+        results = isothermal_entropy_change_lanes(model, 0.5, 1.5, [1e-200, 1.0])
+    assert isinstance(results[0], QuadratureNoConvergenceError)
+    assert results[1] == isothermal_entropy_change(model, 0.5, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: generalized_force(build_dimer(1.0, 0.3, "J"), 1.0, t),
+    lambda t: thermal_state(build_dimer(1.0, 0.3, "J"), 1.0, t),
+    lambda t: isothermal_entropy_change(build_dimer(1.0, 0.3, "J"), 0.5, 1.5, t),
+    lambda t: adiabatic_temperature_change(build_dimer(1.0, 0.3, "J"), 0.5, 1.5, t),
+    lambda t: adiabatic_temperature_change_matching(build_dimer(1.0, 0.3, "J"), 0.5, 1.5, t),
+    lambda t: discord_from_susceptibility(0.3, t),
+], ids=["force", "thermal_state", "dS_quadrature", "dT_ode", "dT_matching", "discord"])
+@pytest.mark.parametrize("t", [1e-320, 5e-324])
+def test_a_subnormal_temperature_is_rejected_without_a_warning(call, t):
+    # 1 / T overflows there: the force warned "overflow encountered in divide"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonPositiveTemperatureError,
+                           match=re.escape(f"= {t:g} K is subnormal: it must be at least 2.22507e-308 K")):
+            call(t)

@@ -123,6 +123,13 @@ class TestTabulated:
         with pytest.raises(OutOfRangeError):
             model.derivative(-0.1)
 
+    @pytest.mark.parametrize("read", ["evaluate", "derivative"])
+    def test_nan_is_out_of_range(self, read):
+        # NaN passed the range check and met a bare ValueError on the matrix
+        model = build_tabulated(self.make_table())
+        with pytest.raises(OutOfRangeError, match=r"lambda = nan outside tabulated range \[0, 2\]"):
+            getattr(model, read)(np.nan)
+
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):
             SpectrumTable(lambda_grid=np.array([0.0, 1.0]),
