@@ -26,12 +26,16 @@ read one grid, the nested Chebyshev-Lobatto nodes of each piece of the path
 (the adiabat halves a piece it cannot walk whole), and integrate
 temperatures as lanes: the ``*_lanes`` routes share the nodes
 among a temperature array, each lane keeping its own refinement level, and
-the single-temperature routes are their one-lane case.
+the single-temperature routes are their one-lane case. Every lambda
+quadrature -- dS_iso, the discord integral and the work of
+``thermal.process_decompose`` -- is one kernel, ``_path_integrals``, on paths
+of (lambda, T) points; its callers supply only the integrand.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -42,6 +46,7 @@ import numpy as np
 from .errors import (
     BracketFailureError,
     DegenerateVarianceError,
+    EmptyPathError,
     NoZeemanTermError,
     OdeNoConvergenceError,
     QCaloricError,
@@ -136,24 +141,24 @@ class _SpectralCache:
         return np.array([self._data[lam] for lam in lams])
 
 
-def _open_lanes(temperatures, name: str, *lambdas: float):
-    """Guard each lane of an endpoint computation before any eigensolve.
-
-    Returns the temperatures as an array, one slot per lane and the indices
-    of the live lanes. A slot holds the QCaloricError the temperature or
-    lambda guard raised for that lane, or None where the lane is live.
-    """
-    temps = np.asarray(temperatures, dtype=float)
-    slots = []
-    for t in temps.tolist():
+def _guarded(paths, name: str) -> list:
+    """Each of ``paths`` as a list of float (lambda, T) points, guarded before
+    any eigensolve, or the QCaloricError of its first failing guard: fewer
+    than two points, a temperature (named ``name``) not finite and > 0, or a
+    lambda not finite."""
+    out = []
+    for path in paths:
+        pts = [(float(lam), float(t)) for lam, t in path]
         try:
-            _require_temperature(t, name)
-            _require_lambda(*lambdas)
-            slots.append(None)
+            if len(pts) < 2:
+                raise EmptyPathError("process path needs at least 2 points")
+            for lam, t in pts:
+                _require_temperature(t, name)
+                _require_lambda(lam)
+            out.append(pts)
         except QCaloricError as exc:
-            slots.append(exc)
-    live = np.array([j for j, slot in enumerate(slots) if slot is None], dtype=int)
-    return temps, slots, live
+            out.append(exc)
+    return out
 
 
 def _single(slots) -> CaloricResult:
@@ -282,87 +287,99 @@ def _refine(step, lanes: np.ndarray, close, fail, max_level: int):
     return out
 
 
-def _clenshaw_curtis_lanes(f, a: float, b: float, lanes: np.ndarray, what: str,
-                           tol: float = _QUAD_TOL):
-    """Clenshaw-Curtis quadrature on [a, b] on the levels of ``_refine``, each
-    lane stopping once successive estimates differ by <= ``tol`` times the
-    same level's quadrature of |f|: relative at any magnitude, and at once
-    on an integrand that is exactly zero. ``f(nodes, lanes)`` returns the
-    integrand at a level's nodes (one row per node) for the lane indices
-    ``lanes``, read from a spectral cache that diagonalizes the new nodes
-    together."""
-    def step(level, live):
-        n = _BASE_NODES << level
-        rows = f(_nodes(a, b, n), live)
-        # f and |f| summed in one pass; the weights are positive
-        sums = 0.5 * (b - a) * _weighted_sum(_clenshaw_curtis_weights(n)[:, None, None],
-                                             np.hstack([rows, np.abs(rows)]))[0]
-        return sums[:len(live)], np.abs(sums[len(live):]), [None] * len(live)
-
-    return _refine(step, lanes, lambda diff, scale: diff <= tol * scale,
-                   lambda why: QuadratureNoConvergenceError(
-                       f"{what}: Clenshaw-Curtis not converged {why}"), _QUAD_MAX_DOUBLINGS)
-
-
-def _join_pieces(done: dict, piece: dict, live: np.ndarray, join) -> np.ndarray:
-    """Fold one piece's {lane: result or QCaloricError} into ``done``, a lane's
-    results by ``join(before, piece)``; returns the lanes still live."""
-    for j, got in piece.items():
-        prev = done.get(j)
-        done[j] = got if prev is None or isinstance(got, QCaloricError) else join(prev, got)
-    return np.array([j for j in live.tolist() if not isinstance(done[j], QCaloricError)],
-                    dtype=int)
-
-
 def _pieces(model: ParamHamiltonian, lambda_i: float, lambda_f: float):
     """[lambda_i, lambda_f] split at the model's interior breakpoints, in path
-    order: one (a, b, read) per piece. ``read(lam)`` is where the model is
-    read for a node lam of the piece: an end that is a breakpoint reads the
-    float next to it inside the piece, where H(lambda) and its derivative
-    follow the piece's own slope; any other node reads itself. The Lobatto
-    nodes of ``_nodes`` hold both ends exactly and never pass them."""
+    order: one (a, b, inner) per piece. A node lam of the piece is read at
+    ``inner.get(lam, lam)``: an end that is a breakpoint at the float next to
+    it inside the piece, where H(lambda) and its derivative follow the
+    piece's own slope, and any other node at itself. The Lobatto nodes of
+    ``_nodes`` hold both ends exactly and never pass them."""
     lo, hi = min(lambda_i, lambda_f), max(lambda_i, lambda_f)
     cuts = sorted((x for x in model.breakpoints if lo < x < hi), reverse=bool(lambda_i > lambda_f))
     ends = [lambda_i, *cuts, lambda_f]
-    pieces = []
-    for a, b in zip(ends[:-1], ends[1:]):
-        inner = {x: float(np.nextafter(x, y)) for x, y in ((a, b), (b, a))
-                 if x in model.breakpoints}
-        pieces.append((a, b, lambda lam, inner=inner: inner.get(lam, lam)))
-    return pieces
+    return [(a, b, {x: float(np.nextafter(x, y)) for x, y in ((a, b), (b, a))
+                    if x in model.breakpoints}) for a, b in zip(ends[:-1], ends[1:])]
+
+
+def _path_integrals(cache: _SpectralCache, paths, integrand, what: str,
+                    tol: float = _QUAD_TOL, name: str = "T") -> list:
+    """Int f dlambda along each segment of each of ``paths``, sequences of
+    (lambda, T) points with T linear in lambda between them: Clenshaw-Curtis
+    quadrature on the levels of ``_refine``, one lane per piece
+    (``_pieces``) of a segment that moves lambda, each stopping once
+    successive estimates differ by <= ``tol`` times the same level's
+    quadrature of |f| (relative at any magnitude, at once where f is exactly
+    zero). A level reads each live piece's ``_nodes`` from ``cache`` once;
+    ``integrand(rows, temps)`` gives f there (node x lane) for the lanes'
+    temperatures (node x lane, or one per lane on an isotherm). Per path:
+    per segment (value, error, deepest level), pieces added in path order
+    (an isochore is (0.0, 0.0, 0)), or its first error, ``_guarded``'s
+    first (T named ``name``)."""
+    out, groups, split = _guarded(paths, name), {}, {}
+    for j, pts in enumerate(out):
+        if isinstance(pts, QCaloricError):
+            continue
+        out[j] = [None] * (len(pts) - 1)
+        for k, ((la, ta), (lb, tb)) in enumerate(zip(pts, pts[1:])):
+            if (la, lb) not in split:   # paths at several temperatures share their segments
+                split[la, lb] = [(groups.setdefault((a, b), (inner, []))[1], 0.5 * (b - a))
+                                 for a, b, inner in (_pieces(cache.model, la, lb) if la != lb else ())]
+            for p, (group, h) in enumerate(split[la, lb]):
+                group.append(((j, k, p), la, lb - la, ta, tb - ta, h))
+    # a piece's lanes are consecutive, so each level's live ones are a run of ``live``
+    lanes = [lane for _, group in groups.values() for lane in group]
+    lam0, dlam, t0, dt, half = np.array([lane[1:] for lane in lanes]).reshape(-1, 5).T
+    starts = [0, *itertools.accumulate(len(group) for _, group in groups.values())]
+    # a piece whose lanes all hold T fixed reads their temperatures as they are:
+    # the bits of T linear in lambda, without a (node x lane) map
+    flat = [not any(lane[4] for lane in group) for _, group in groups.values()]
+
+    def step(level, live):
+        n = _BASE_NODES << level
+        bounds, cols = live.searchsorted(starts).tolist(), []
+        for ((a, b), (inner, _)), iso, lo, hi in zip(groups.items(), flat, bounds, bounds[1:]):
+            if lo < hi:
+                nodes, at = _nodes(a, b, n), live[lo:hi]
+                temps = t0[at] if iso else (
+                    t0[at] + (np.array(nodes)[:, None] - lam0[at]) / dlam[at] * dt[at])
+                cols.append(integrand(cache.stack(map(inner.get, nodes, nodes))[:, None], temps))
+        # f and |f| summed in one pass; the weights are positive
+        sums = half[live] * _weighted_sum(_clenshaw_curtis_weights(n)[:, None, None], np.concatenate(
+            [*cols, *map(np.abs, cols)], axis=1))[0].reshape(2, -1)
+        return sums[0], np.abs(sums[1]), [None] * len(live)
+
+    # below T ~ 1e-162, T^2 is 0 and an integrand over T^2 is 0 / 0: _refine fails the lane
+    with np.errstate(divide="ignore", invalid="ignore"):
+        done = _refine(step, np.arange(len(lanes)), lambda diff, scale: diff <= tol * scale,
+                       lambda why: QuadratureNoConvergenceError(
+                           f"{what}: Clenshaw-Curtis not converged {why}"), _QUAD_MAX_DOUBLINGS)
+    for (j, k, _), got in sorted((lane[0], done[i]) for i, lane in enumerate(lanes)):
+        if isinstance(got, QCaloricError):
+            out[j] = out[j] if isinstance(out[j], QCaloricError) else got
+        elif not isinstance(out[j], QCaloricError):
+            prev = out[j][k]
+            out[j][k] = got[:3] if prev is None else (
+                prev[0] + got[0], prev[1] + got[1], max(prev[2], got[2]))
+    return [segs if isinstance(segs, QCaloricError) else
+            [seg or (0.0, 0.0, 0) for seg in segs] for segs in out]
 
 
 def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
                                     lambda_f: float, temperatures) -> list:
     """``isothermal_entropy_change`` at each of ``temperatures``, evaluated
-    as the lanes of one quadrature that share the lambda nodes and one
-    spectral cache. Each lane equals its single-temperature call bit for
+    as the lanes of one ``_path_integrals`` that share the lambda nodes and
+    one spectral cache. Each lane equals its single-temperature call bit for
     bit: one entry per temperature, its CaloricResult or the QCaloricError
-    its single call raises. Pieces between breakpoints are integrated one
-    by one; values and error estimates add up, the level is the deepest.
+    its single call raises. Pieces between breakpoints are lanes of their
+    own; values and error estimates add up, the level is the deepest.
     """
-    temps, slots, live = _open_lanes(temperatures, "T", lambda_i, lambda_f)
-    if lambda_i == lambda_f:
-        done = dict.fromkeys(live.tolist(), (0.0, 0.0, 0))
-    else:
-        cache = _SpectralCache(model)
-        t_sq = temps * temps
-        done = {}
-        for a, b, read in _pieces(model, lambda_i, lambda_f):
-            # below T ~ 1e-162, T^2 is 0 and the integrand 0 / 0: _refine fails the lane
-            @np.errstate(divide="ignore", invalid="ignore")
-            def integrand(nodes, lanes, read=read):
-                rows = cache.stack(read(lam) for lam in nodes)[:, None]
-                return -_moments_at(rows, temps[lanes])[3] / t_sq[lanes]
-
-            live = _join_pieces(done, _clenshaw_curtis_lanes(
-                integrand, a, b, live, "isothermal entropy change"), live,
-                lambda prev, got: (prev[0] + got[0], prev[1] + got[1], max(prev[2], got[2])))
-    for j, got in done.items():
-        slots[j] = got if isinstance(got, QCaloricError) else CaloricResult(
-            "entropy_change", got[0], lambda_i, lambda_f, float(temps[j]),
-            "quadrature", got[1], got[2])
-    return slots
+    temps = np.asarray(temperatures, dtype=float).tolist()
+    got = _path_integrals(_SpectralCache(model), [[(lambda_i, t), (lambda_f, t)] for t in temps],
+                          lambda rows, t: -_moments_at(rows, t)[3] / (t * t),
+                          "isothermal entropy change")
+    return [segs if isinstance(segs, QCaloricError) else CaloricResult(
+        "entropy_change", segs[0][0], lambda_i, lambda_f, t, "quadrature", *segs[0][1:])
+        for t, segs in zip(temps, got)]
 
 
 def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
@@ -481,10 +498,16 @@ def _picard_lanes(slopes, a: float, b: float, t_start: np.ndarray, lanes: np.nda
                    _ODE_MAX_DOUBLINGS)
 
 
-def _join_walks(before, after):
-    """One lane's walk over two consecutive stretches: the end temperature of
-    the second, errors added, the deeper level, the paths joined."""
-    return after[0], before[1] + after[1], max(before[2], after[2]), before[3] + after[3][1:]
+def _join_walks(done: dict, got: dict, live: np.ndarray) -> np.ndarray:
+    """Fold one stretch's {lane: walk or QCaloricError} into ``done``, a walk
+    joined to the one before: the second's end temperature, errors added,
+    the deeper level, the paths joined. Returns the lanes still live."""
+    for j, after in got.items():
+        before = done.get(j)
+        done[j] = after if before is None or isinstance(after, QCaloricError) else (
+            after[0], before[1] + after[1], max(before[2], after[2]), before[3] + after[3][1:])
+    return np.array([j for j in live.tolist() if not isinstance(done[j], QCaloricError)],
+                    dtype=int)
 
 
 def _walk(slopes, stretches, t_start: np.ndarray, lanes: np.ndarray, depth: int = 0) -> dict:
@@ -503,7 +526,7 @@ def _walk(slopes, stretches, t_start: np.ndarray, lanes: np.ndarray, depth: int 
             retry = retry[~slopes(prepare([a]), t[retry][None])[1][0]]
             mid = 0.5 * (a + b)
             got.update(_walk(slopes, [(a, mid, prepare), (mid, b, prepare)], t, retry, depth + 1))
-        lanes = _join_pieces(done, got, lanes, _join_walks)
+        lanes = _join_walks(done, got, lanes)
         t[lanes] = [done[j][0] for j in lanes.tolist()]
     return done
 
@@ -540,7 +563,9 @@ def adiabatic_temperature_change_lanes(
     temperature of the one before; error estimates add up, the level is
     the deepest and the paths are joined.
     """
-    temps, slots, live = _open_lanes(temperatures, "T_start", lambda_i, lambda_f)
+    temps = np.asarray(temperatures, dtype=float)
+    slots = _guarded([[(lambda_i, t), (lambda_f, t)] for t in temps.tolist()], "T_start")
+    live = np.array([j for j, s in enumerate(slots) if not isinstance(s, QCaloricError)], dtype=int)
     if lattice is not None and model.parameter_name != "b":
         done = dict.fromkeys(live.tolist(), NoZeemanTermError(
             "classical adiabat needs the field as working parameter"))
@@ -550,13 +575,13 @@ def adiabatic_temperature_change_lanes(
     else:
         cache = _SpectralCache(model)
 
-        def prepare(read, nodes):
-            at = [read(lam) for lam in nodes]
+        def prepare(inner, nodes):
+            at = list(map(inner.get, nodes, nodes))
             return at, cache.stack(at)[:, None]
 
         done = _walk(functools.partial(_slopes, lattice), [
-            (a, b, functools.partial(prepare, read))
-            for a, b, read in _pieces(model, lambda_i, lambda_f)], temps, live)
+            (a, b, functools.partial(prepare, inner))
+            for a, b, inner in _pieces(model, lambda_i, lambda_f)], temps, live)
     for j, got in done.items():
         slots[j] = got if isinstance(got, QCaloricError) else CaloricResult(
             "temperature_change", float(got[0] - temps[j]), lambda_i, lambda_f,

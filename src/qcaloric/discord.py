@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caloric import _clenshaw_curtis_lanes, _SpectralCache
+from .caloric import _path_integrals, _SpectralCache
 from .errors import (
     AnisotropicStateError,
     NegativeSusceptibilityError,
@@ -107,7 +107,8 @@ def discord_from_susceptibility(chi: float, T: float) -> float:
     """Discord from the zero-field susceptibility: D = |2*T*chi - 1| / 2.
 
     ``chi`` must already be in reduced per-dimer units ((g mu_B)^2 / k_B);
-    molar inputs are reduced at ingestion by ``UnitSystem``.
+    a molar susceptibility can be reduced with
+    ``UnitSystem.reduce_molar_susceptibility``.
 
     Raises
     ------
@@ -160,13 +161,10 @@ def entropy_change_from_discord(J_i: float, J_f: float, T: float) -> float:
         raise SignCrossingError(
             f"sweep [{J_i:g}, {J_f:g}] straddles J = 0 where |c| is "
             "non-differentiable")
-    cache = _SpectralCache(build_dimer(J=J_i, b=0.0, parameter="J"))
-
-    def integrand(nodes, lanes):
-        return _discord_slopes(J_i, _moments_at(cache.stack(nodes)[:, None], np.array([T]))[3], T)
-
-    got = _clenshaw_curtis_lanes(integrand, J_i, J_f, np.zeros(1, dtype=int),
-                                 "discord-integral entropy change")[0]
+    got = _path_integrals(
+        _SpectralCache(build_dimer(J=J_i, b=0.0, parameter="J")), [[(J_i, T), (J_f, T)]],
+        lambda rows, t: _discord_slopes(J_i, _moments_at(rows, t)[3], t),
+        "discord-integral entropy change")[0]
     if isinstance(got, QCaloricError):
         raise got
-    return abs(6.0 * got[0])
+    return abs(6.0 * got[0][0])

@@ -19,6 +19,7 @@ field ``b = g * mu_B * B / k_B`` in kelvin. To translate to the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Optional, Tuple
 
@@ -48,8 +49,8 @@ class UnitSystem:
     k_B_SI: ClassVar[float] = 1.380649e-23        # J/K
 
     def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError("UnitSystem.g must be positive")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"UnitSystem.g = {self.g:g} must be finite and positive")
 
     def field_to_kelvin(self, b_tesla: float) -> float:
         """Reduced field b = g * mu_B * B / k_B in kelvin."""
@@ -162,6 +163,13 @@ def _affine(parameter: str, frozen: Mapping[str, float], h0: np.ndarray,
     )
 
 
+def _require_finite(**values: float) -> None:
+    """Raise NonFiniteParameterError naming the first value not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise NonFiniteParameterError(f"{name} = {value:g} must be finite")
+
+
 def _constant_operators():
     """The dimer's sigma1.sigma2 and S1z + S2z and one spin's S_z, each with
     its negation, as read-only validated operators."""
@@ -193,8 +201,10 @@ def build_dimer(J: float, b: float, parameter: str) -> ParamHamiltonian:
     ParamHamiltonian
         4-dimensional family with exact derivative ``sigma1.sigma2`` (for
         "J") or ``-(S1z + S2z)`` (for "b"). Both, and the magnetization
-        operator, are read-only operators shared by every dimer.
+        operator, are read-only operators shared by every dimer. A NaN or
+        infinite J or b raises NonFiniteParameterError.
     """
+    _require_finite(J=J, b=b)
     if parameter == "J":
         return _affine("J", {"b": float(b)}, -float(b) * _TOTAL_SZ.matrix, _EXCHANGE, _TOTAL_SZ)
     if parameter == "b":
@@ -207,7 +217,9 @@ def build_single_spin_zeeman(b: float = 0.0) -> ParamHamiltonian:
     """Single spin-1/2 in a field: H(b) = -b * Sz, levels -b/2 and +b/2.
 
     ``b`` is a nominal starting value; the field is the working parameter.
+    A NaN or infinite ``b`` raises NonFiniteParameterError.
     """
+    _require_finite(b=b)
     return _affine("b", {}, np.zeros((2, 2), dtype=complex), _MINUS_SPIN_SZ, _SPIN_SZ)
 
 

@@ -338,7 +338,7 @@ class ExchangeTable:
 
     def lookup(self, pressure: float) -> float:
         """J at a pressure by linear interpolation; no extrapolation."""
-        if pressure < self.pressures[0] or pressure > self.pressures[-1]:
+        if not self.pressures[0] <= pressure <= self.pressures[-1]:   # NaN is out of range too
             raise OutOfRangeError(
                 f"pressure {pressure:g} GPa outside table range "
                 f"[{self.pressures[0]:g}, {self.pressures[-1]:g}]")

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EmptyPathError,
     NonFiniteParameterError,
     NonPositiveTemperatureError,
     NoZeemanTermError,
@@ -283,11 +282,11 @@ def process_decompose(model: ParamHamiltonian,
 
     The work of each input segment is the Alicki integral
     W = Int sum_n p_n dE_n = Int <dH/dlambda> dlambda, evaluated by
-    Clenshaw-Curtis quadrature on nested Chebyshev-Lobatto nodes: the
-    segments, split at the model's breakpoints, are the lanes of one
-    quadrature on s in [0, 1], each doubling its nodes until successive
-    estimates differ by <= 1e-10 times the same level's quadrature of
-    |<dH/dlambda>|. This is the
+    Clenshaw-Curtis quadrature on the nested Chebyshev-Lobatto nodes of
+    ``caloric._path_integrals``, the lambda grid of the entropy change: the
+    segments, split at the model's breakpoints, are its lanes, each
+    doubling its nodes until successive estimates differ by <= 1e-10 times
+    the same level's quadrature of |<dH/dlambda>|. This is the
     one-path case of the decompose sweep, whose quadrature takes the
     strokes of all its temperatures as lanes, so each sweep point equals
     its own call bit for bit. The heat is the first-law remainder
@@ -316,66 +315,26 @@ def process_decompose(model: ParamHamiltonian,
 
 def _decompose(cache, paths) -> list:
     """``process_decompose`` of each of ``paths`` on the spectral cache of their
-    model, as the lanes of one quadrature: every piece of every path is a lane
-    with its own refinement level and bits, so a node one path diagonalized
-    is read by the others. One entry per path: its ProcessDecomposition, or
-    the QCaloricError its ``process_decompose`` call raises."""
-    from .caloric import _clenshaw_curtis_lanes, _pieces
+    model, as the lanes of one ``_path_integrals``: every piece of every path
+    is a lane with its own refinement level and bits, so a node one path
+    diagonalized is read by the others. One entry per path: its
+    ProcessDecomposition, or the QCaloricError its ``process_decompose`` call
+    raises."""
+    from .caloric import _path_integrals
 
-    # one lane per piece (a, b) of a segment that moves lambda: its path and
-    # segment, start, width, lambda ends as read (one ulp inside at a
-    # breakpoint) and T ends
-    slots, owner, rows = [], [], []
-    for j, path in enumerate(paths):
-        pts = [(float(lam), float(t)) for lam, t in path]
-        try:
-            if len(pts) < 2:
-                raise EmptyPathError("process path needs at least 2 points")
-            for lam, t in pts:
-                _require_temperature(t, "path T")
-                _require_lambda(lam)
-        except QCaloricError as exc:
-            slots.append(exc)
-            continue
-        slots.append(pts)
-        for k, ((la, ta), (lb, tb)) in enumerate(zip(pts[:-1], pts[1:])):
-            for a, b, read in (_pieces(cache.model, la, lb) if la != lb else ()):
-                owner.append((j, k))
-                rows.append((a, b - a, read(a), read(b),
-                             *(ta + (x - la) / (lb - la) * (tb - ta) for x in (a, b))))
-    start, width, read_a, read_b, t_a, t_b = np.array(rows).reshape(-1, 6).T
-
-    def integrand(nodes, lanes):
-        # (lambda, T) of each live lane at each node s, all read in one call
-        s = np.array(nodes)[:, None]
-        lam = start[lanes] + s * width[lanes]
-        lam[s[:, 0] == 0.0] = read_a[lanes]
-        lam[s[:, 0] == 1.0] = read_b[lanes]
-        temps = t_a[lanes] + s * (t_b - t_a)[lanes]
-        stacked = cache.stack(lam.ravel().tolist()).reshape(lam.shape + (3, -1))
-        return _moments_at(stacked, temps)[1] * width[lanes]
-
-    done = _clenshaw_curtis_lanes(integrand, 0.0, 1.0, np.arange(len(owner)),
-                                  "process work", tol=_DECOMPOSE_TOL)
-    lanes_of = [[] for _ in slots]
-    for lane, (j, k) in enumerate(owner):
-        lanes_of[j].append((k, done[lane]))
-    return [pts if isinstance(pts, QCaloricError) else _split(cache, pts, lanes)
-            for pts, lanes in zip(slots, lanes_of)]
+    works = _path_integrals(cache, paths, lambda rows, t: _moments_at(rows, t)[1],
+                            "process work", _DECOMPOSE_TOL, "path T")
+    return [got if isinstance(got, QCaloricError) else _split(cache, path, got)
+            for path, got in zip(paths, works)]
 
 
-def _split(cache, pts, lanes):
-    """One path's first-law split from its (segment, work lane) results, or
-    the first failing lane's error; its energies are read at its points."""
-    work_steps = np.zeros(len(pts) - 1)
-    error = 0.0
-    for k, got in lanes:
-        if isinstance(got, QCaloricError):
-            return got
-        work_steps[k] += got[0]
-        error += got[1]
+def _split(cache, path, works):
+    """One path's first-law split from its segments' (work, error, level);
+    its energies are read at its points."""
+    work_steps, errors, levels = (np.array(x) for x in zip(*works))
+    pts = np.array(path, dtype=float)
     try:
-        energies = _moments_at(cache.stack(lam for lam, _ in pts), np.array(pts)[:, 1])[0]
+        energies = _moments_at(cache.stack(pts[:, 0].tolist()), pts[:, 1])[0]
     except QCaloricError as exc:
         return exc
     heat_steps = np.diff(energies) - work_steps
@@ -385,6 +344,6 @@ def _split(cache, pts, lanes):
         energy_change=float(energies[-1] - energies[0]),
         work_steps=work_steps,
         heat_steps=heat_steps,
-        error_estimate=error,
-        refinement_levels=max((got[2] for _, got in lanes), default=0),
+        error_estimate=float(np.sum(errors)),
+        refinement_levels=int(np.max(levels)),
     )

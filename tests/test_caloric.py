@@ -172,11 +172,22 @@ class TestIsothermalEntropyChange:
         assert res.refinement_levels <= 4
         assert abs(entropy_change_from_discord(0.5, 1.5, t) + exact) <= 1e-8 * abs(exact)
 
+    @pytest.mark.parametrize("t", [0.04, 0.05])
+    def test_degenerate_ground_manifold_within_its_envelope(self, t):
+        # the b = 0 ferromagnetic dimer's ground level is the triplet: rounding in
+        # its sector-solved levels puts ~1e-33 of noise into Cov, which outgrows the
+        # true Cov below T ~ 0.035 (the envelope README states)
+        model = build_dimer(J=-1.0, b=0.0, parameter="J")
+        exact = float(mp_dimer_entropy(-0.5, t) - mp_dimer_entropy(-1.5, t))
+        res = isothermal_entropy_change(model, -1.5, -0.5, t)
+        assert abs(res.value - exact) <= 1e-8 * abs(exact)
+        assert abs(entropy_change_from_discord(-1.5, -0.5, t) - abs(exact)) <= 1e-8 * abs(exact)
+
     def test_quadrature_of_an_exact_zero_stops_at_level_one(self):
-        got = caloric._clenshaw_curtis_lanes(
-            lambda nodes, lanes: np.zeros((len(nodes), len(lanes))), 0.0, 1.0,
-            np.arange(2), "zero")
-        assert got == {0: (0.0, 0.0, 1, None), 1: (0.0, 0.0, 1, None)}
+        cache = caloric._SpectralCache(build_dimer(J=1.0, b=0.0, parameter="J"))
+        got = caloric._path_integrals(cache, [[(0.0, 1.0), (1.0, 1.0)], [(0.0, 2.0), (1.0, 2.0)]],
+                                      lambda rows, t: np.zeros((len(rows), t.shape[-1])), "zero")
+        assert got == [[(0.0, 0.0, 1)], [(0.0, 0.0, 1)]]
 
     def test_direct_oracle_route(self):
         model = build_dimer(J=1.0, b=0.0, parameter="J")

@@ -369,6 +369,10 @@ def test_a_non_finite_quadrature_lane_fails_at_its_first_level_without_a_warning
             isothermal_entropy_change(model, 0.5, 1.5, 1e-200)
         assert len(calls) == 9   # level 0's nodes
         results = isothermal_entropy_change_lanes(model, 0.5, 1.5, [1e-200, 1.0])
+        # the discord integral's -sign(J) Cov / (6 T^2) shares the kernel and its stop
+        with pytest.raises(QuadratureNoConvergenceError,
+                           match=r"not converged at level 0 \(estimate nan is not finite\)$"):
+            entropy_change_from_discord(0.5, 1.5, 1e-200)
     assert isinstance(results[0], QuadratureNoConvergenceError)
     assert results[1] == isothermal_entropy_change(model, 0.5, 1.5, 1.0)
 

@@ -199,13 +199,13 @@ def test_decompose_sweep_shares_one_cache_across_temperatures(monkeypatch):
     # temperature's nodes hold the others', and each lane keeps its own bits
     model, calls = counted(PINNED)
     monkeypatch.setattr(sweep, "build_model", lambda scenario: model)
-    quadrature, quadratures = caloric._clenshaw_curtis_lanes, []
+    refine, quadratures = caloric._refine, []
 
-    def counted_quadrature(f, a, b, lanes, what, **kwargs):
+    def counted_refine(step, lanes, *args):
         quadratures.append(lanes.tolist())
-        return quadrature(f, a, b, lanes, what, **kwargs)
+        return refine(step, lanes, *args)
 
-    monkeypatch.setattr(caloric, "_clenshaw_curtis_lanes", counted_quadrature)
+    monkeypatch.setattr(caloric, "_refine", counted_refine)
     work, heat, energy = run_sweep(parse_scenario(STROKE))
     assert quadratures == [[0, 1, 2]]
     assert len(calls) == len(set(calls))
@@ -217,3 +217,16 @@ def test_decompose_sweep_shares_one_cache_across_temperatures(monkeypatch):
         assert (w, q, du) == ((t, d.work, d.error_estimate), (t, d.heat, d.error_estimate),
                               (t, d.energy_change, 0.0))
     assert set(calls) == set.union(*alone) == max(alone, key=len)
+
+
+def test_entropy_quadrature_and_work_read_the_same_lambda_nodes():
+    # both integrals read the Lobatto nodes mid + half * x of the stroke, so the
+    # shallower one's nodes are a subset of the deeper one's final level
+    lam_i, lam_f = 0.5037, 1.4963
+    entropy_model, entropy_calls = counted(PINNED)
+    work_model, work_calls = counted(PINNED)
+    res = isothermal_entropy_change(entropy_model, lam_i, lam_f, 1.0)
+    d = process_decompose(work_model, [(lam_i, 1.0), (lam_f, 1.0)])
+    assert set(work_calls) == set(caloric._nodes(lam_i, lam_f, 8 << d.refinement_levels))
+    assert set(entropy_calls) == set(caloric._nodes(lam_i, lam_f, 8 << res.refinement_levels))
+    assert set(entropy_calls) <= set(work_calls)

@@ -4,6 +4,7 @@ import pytest
 from qcaloric import linalg, models
 from qcaloric.errors import (
     GridTooSmallError,
+    NonFiniteParameterError,
     NonMonotoneGridError,
     OutOfRangeError,
 )
@@ -65,6 +66,14 @@ class TestDimer:
         with pytest.raises(ValueError):
             build_dimer(J=1.0, b=0.0, parameter="x")
 
+    @pytest.mark.parametrize("J,b,parameter,name", [
+        (1.0, np.inf, "J", "b"), (np.nan, 0.3, "b", "J"),
+        (-np.inf, 0.3, "J", "J"), (1.0, np.nan, "b", "b")])
+    def test_non_finite_inputs_are_rejected_by_name(self, J, b, parameter, name):
+        # rejected at construction, before any arithmetic (a RuntimeWarning is an error)
+        with pytest.raises(NonFiniteParameterError, match=f"^{name} = "):
+            build_dimer(J=J, b=b, parameter=parameter)
+
     def test_builds_make_no_kronecker_product(self, monkeypatch):
         # the constant operators are built and validated once, at import
         def forbidden(*args):
@@ -93,6 +102,11 @@ class TestSingleSpin:
     def test_degenerate_at_zero_field(self):
         model = build_single_spin_zeeman()
         assert np.array_equal(spectrum_of(model, 0.0), [0.0, 0.0])
+
+    @pytest.mark.parametrize("b", [np.nan, np.inf])
+    def test_non_finite_field_is_rejected(self, b):
+        with pytest.raises(NonFiniteParameterError, match="^b = "):
+            build_single_spin_zeeman(b)
 
     def test_derivative_is_minus_sz(self):
         model = build_single_spin_zeeman(1.0)
@@ -194,6 +208,11 @@ class TestUnitSystem:
     def test_constants_positive(self):
         with pytest.raises(ValueError):
             UnitSystem(g=-2.0)
+
+    @pytest.mark.parametrize("g", [np.inf, np.nan])
+    def test_g_must_be_finite(self, g):
+        with pytest.raises(ValueError, match="UnitSystem.g"):
+            UnitSystem(g=g)
 
     def test_molar_susceptibility_reduction_recovers_curie(self):
         # free spin-1/2: chi_molar = N_A (g mu_B)^2 / (4 k_B T)

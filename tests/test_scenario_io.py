@@ -178,6 +178,11 @@ class TestExchangeTable:
         with pytest.raises(OutOfRangeError):
             table.lookup(2.5)
 
+    def test_lookup_of_nan_is_out_of_range(self):
+        table = load_exchange_table("pressure_gpa,J_kelvin\n0.0,1.0\n2.0,2.0\n")
+        with pytest.raises(OutOfRangeError):
+            table.lookup(float("nan"))
+
 
 class TestRunSweep:
     def test_single_entropy_point(self):
