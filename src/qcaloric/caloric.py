@@ -55,7 +55,7 @@ from .errors import (
 )
 # hermitian_eigen is not called here; the benchmark's tracer checks this binding
 from .linalg import _sector_spectra, hermitian_eigen  # noqa: F401
-from .models import ParamHamiltonian
+from .models import ParamHamiltonian, _Affine
 from .thermal import (
     _TINY, _entropy, _moments_at, _require_lambda, _require_temperature, _spectral_rows)
 
@@ -125,37 +125,52 @@ class _SpectralCache:
     def __init__(self, model: ParamHamiltonian):
         self.model = model
         self._data: Dict[float, np.ndarray] = {}
+        family = model.evaluate
+        # a family is read whole only where neither read is wrapped: a wrapper sees every node
+        self._fill = family.spectra if (
+            isinstance(family, _Affine) and model.derivative == family.derivative
+        ) else functools.partial(_per_node, model)   # not a method: a cache holds no cycle
 
     def stack(self, lams) -> np.ndarray:
-        """The rows of each of lams, in order. Uncached nodes are built once
-        each, in order, and diagonalized together ``_FILL_BLOCK`` at a time by
-        ``linalg._sector_spectra``; the first that cannot be built raises."""
+        """The rows of each of lams, in order. Uncached nodes are filled once
+        each, in order, ``_FILL_BLOCK`` at a time: an affine family's by
+        ``models._Affine.spectra``, any other model's built one by one and
+        diagonalized together by ``linalg._sector_spectra``. The first node
+        that cannot be built raises; the blocks before it stay cached."""
         lams = list(lams)
         new = list(dict.fromkeys(lam for lam in lams if lam not in self._data))
         for k in range(0, len(new), _FILL_BLOCK):
             block = new[k:k + _FILL_BLOCK]
-            levels, diags = _sector_spectra(
-                np.array([self.model.evaluate(lam).matrix for lam in block]),
-                np.array([self.model.derivative(lam).matrix for lam in block]))
-            self._data.update(zip(block, _spectral_rows(levels, diags)))
+            self._data.update(zip(block, _spectral_rows(*self._fill(block))))
         return np.array([self._data[lam] for lam in lams])
 
 
-def _guarded(paths, name: str) -> list:
-    """Each of ``paths`` as a list of float (lambda, T) points, guarded before
-    any eigensolve, or the QCaloricError of its first failing guard: fewer
-    than two points, a temperature (named ``name``) not finite and > 0, or a
-    lambda not finite."""
+def _per_node(model: ParamHamiltonian, block) -> np.ndarray:
+    """The fill of any model: each node's H and derivative read on their own."""
+    return _sector_spectra(np.array([model.evaluate(lam).matrix for lam in block]),
+                           np.array([model.derivative(lam).matrix for lam in block]))
+
+
+def _guarded(lams, temps: np.ndarray, name: str) -> list:
+    """The paths through the points ``lams`` at the temperatures of each row
+    of ``temps`` (path x point), guarded before any eigensolve: per path
+    None or its first failing guard's QCaloricError -- fewer than two
+    points, a temperature (named ``name``) not finite and > 0, or a lambda
+    not finite, T first at one point. Each lambda is checked once."""
+    if len(lams) < 2:
+        return [EmptyPathError("process path needs at least 2 points") for _ in temps]
+    first = None
+    try:
+        for stop, lam in enumerate(lams, 1):
+            _require_lambda(lam)
+    except QCaloricError as exc:
+        first = exc
     out = []
-    for path in paths:
-        pts = [(float(lam), float(t)) for lam, t in path]
+    for row in temps.tolist():
         try:
-            if len(pts) < 2:
-                raise EmptyPathError("process path needs at least 2 points")
-            for lam, t in pts:
+            for t in row[:stop]:   # the temperatures up to the first bad lambda
                 _require_temperature(t, name)
-                _require_lambda(lam)
-            out.append(pts)
+            out.append(first)
         except QCaloricError as exc:
             out.append(exc)
     return out
@@ -276,9 +291,10 @@ def _refine(step, lanes: np.ndarray, close, fail, max_level: int):
                     f"at level {level} (estimate {estimate[j]:g} is not finite)")
             diff = np.abs(estimate - last) if level else np.full(len(lanes), np.inf)
             done = ok & close(diff, scale)
-            for j in np.flatnonzero(done | ~ok).tolist():
-                out[int(lanes[j])] = payloads[j] if not ok[j] else (
-                    float(estimate[j]), float(diff[j]), level, payloads[j])
+            stop = np.flatnonzero(done | ~ok)
+            for lane, good, value, change, j in zip(*(x[stop].tolist() for x in (
+                    lanes, ok, estimate, diff)), stop.tolist()):
+                out[lane] = (value, change, level, payloads[j]) if good else payloads[j]
             lanes, last, diff = (x[ok & ~done] for x in (lanes, estimate, diff))
         out.update((lane, fail(f"after {max_level} doublings (last difference {err:.3e})"))
                    for lane, err in zip(lanes.tolist(), diff.tolist()))
@@ -301,67 +317,72 @@ def _pieces(model: ParamHamiltonian, lambda_i: float, lambda_f: float):
                     if x in model.breakpoints}) for a, b in zip(ends[:-1], ends[1:])]
 
 
-def _path_integrals(cache: _SpectralCache, paths, integrand, what: str,
+def _path_integrals(cache: _SpectralCache, lams, temps, integrand, what: str,
                     tol: float = _QUAD_TOL, name: str = "T") -> list:
-    """Int f dlambda along each segment of each of ``paths``, sequences of
-    (lambda, T) points with T linear in lambda between them: Clenshaw-Curtis
-    quadrature on the levels of ``_refine``, one lane per piece
-    (``_pieces``) of a segment that moves lambda, each stopping once
-    successive estimates differ by <= ``tol`` times the same level's
-    quadrature of |f| (relative at any magnitude, at once where f is exactly
-    zero). A level reads each live piece's ``_nodes`` from ``cache`` once;
-    ``integrand(rows, temps)`` gives f there (node x lane) for the lanes'
-    temperatures (node x lane, or one per lane on an isotherm). Per path:
-    per segment (value, error, deepest level), pieces added in path order
-    (an isochore is (0.0, 0.0, 0)), or its first error, ``_guarded``'s
-    first (T named ``name``)."""
-    out, groups, split = _guarded(paths, name), {}, {}
-    for j, pts in enumerate(out):
-        if isinstance(pts, QCaloricError):
-            continue
-        out[j] = [None] * (len(pts) - 1)
-        for k, ((la, ta), (lb, tb)) in enumerate(zip(pts, pts[1:])):
-            if (la, lb) not in split:   # paths at several temperatures share their segments
-                split[la, lb] = [(groups.setdefault((a, b), (inner, []))[1], 0.5 * (b - a))
-                                 for a, b, inner in (_pieces(cache.model, la, lb) if la != lb else ())]
-            for p, (group, h) in enumerate(split[la, lb]):
-                group.append(((j, k, p), la, lb - la, ta, tb - ta, h))
-    # a piece's lanes are consecutive, so each level's live ones are a run of ``live``
-    lanes = [lane for _, group in groups.values() for lane in group]
-    lam0, dlam, t0, dt, half = np.array([lane[1:] for lane in lanes]).reshape(-1, 5).T
-    starts = [0, *itertools.accumulate(len(group) for _, group in groups.values())]
+    """Int f dlambda along each segment of the paths through the points
+    ``lams`` at the temperatures of each row of ``temps`` (path x point), T
+    linear in lambda between them: Clenshaw-Curtis quadrature on the levels
+    of ``_refine``, one lane per path and piece (``_pieces``) of a segment
+    that moves lambda, each stopping once successive estimates differ by <=
+    ``tol`` times the same level's quadrature of |f| (relative at any
+    magnitude, at once where f is exactly zero). A level reads each live
+    piece's ``_nodes`` from ``cache`` once; ``integrand(rows, temps)`` gives
+    f there (node x lane) for the lanes' temperatures (node x lane, or one
+    per lane on an isotherm). Per path: per segment (value, error, deepest
+    level), pieces added in path order (an isochore is (0.0, 0.0, 0)), or
+    its first error, ``_guarded``'s first (T named ``name``)."""
+    lams, temps = [float(lam) for lam in lams], np.array(temps, dtype=float)
+    out = _guarded(lams, temps, name)
+    live = [j for j, slot in enumerate(out) if slot is None]
+    pieces = {}
+    for k, (la, lb) in enumerate(zip(lams, lams[1:])):
+        for p, (a, b, inner) in enumerate(_pieces(cache.model, la, lb) if la != lb else ()):
+            pieces.setdefault((a, b), (inner, []))[1].append((k, p, la, lb - la, 0.5 * (b - a)))
+    # one block of lanes (one per live path) per segment and piece; a piece's
+    # blocks are consecutive, so each level's live lanes of a piece are a run of them
+    table, width = [block for _, blocks in pieces.values() for block in blocks], len(live)
+    lam0, dlam, half = np.repeat(np.array([block[2:] for block in table]).reshape(-1, 3), width, 0).T
+    ks = np.array([block[0] for block in table], dtype=int)
+    temps = (temps if width == len(temps) else temps[live]).T
+    t0, dt = temps[ks].ravel(), (temps[1:] - temps[:-1])[ks].ravel()
+    starts = [0, *itertools.accumulate(width * len(blocks) for _, blocks in pieces.values())]
     # a piece whose lanes all hold T fixed reads their temperatures as they are:
     # the bits of T linear in lambda, without a (node x lane) map
-    flat = [not any(lane[4] for lane in group) for _, group in groups.values()]
+    flat = [not dt[lo:hi].any() for lo, hi in zip(starts, starts[1:])]
 
-    def step(level, live):
+    def step(level, at_level):
         n = _BASE_NODES << level
-        bounds, cols = live.searchsorted(starts).tolist(), []
-        for ((a, b), (inner, _)), iso, lo, hi in zip(groups.items(), flat, bounds, bounds[1:]):
+        bounds, cols = at_level.searchsorted(starts).tolist(), []
+        for ((a, b), (inner, _)), iso, lo, hi in zip(pieces.items(), flat, bounds, bounds[1:]):
             if lo < hi:
-                nodes, at = _nodes(a, b, n), live[lo:hi]
-                temps = t0[at] if iso else (
+                nodes, at = _nodes(a, b, n), at_level[lo:hi]
+                t = t0[at] if iso else (
                     t0[at] + (np.array(nodes)[:, None] - lam0[at]) / dlam[at] * dt[at])
-                cols.append(integrand(cache.stack(map(inner.get, nodes, nodes))[:, None], temps))
+                cols.append(integrand(cache.stack(map(inner.get, nodes, nodes))[:, None], t))
         # f and |f| summed in one pass; the weights are positive
-        sums = half[live] * _weighted_sum(_clenshaw_curtis_weights(n)[:, None, None], np.concatenate(
+        sums = half[at_level] * _weighted_sum(_clenshaw_curtis_weights(n)[:, None, None], np.concatenate(
             [*cols, *map(np.abs, cols)], axis=1))[0].reshape(2, -1)
-        return sums[0], np.abs(sums[1]), [None] * len(live)
+        return sums[0], np.abs(sums[1]), [None] * len(at_level)
 
     # below T ~ 1e-162, T^2 is 0 and an integrand over T^2 is 0 / 0: _refine fails the lane
     with np.errstate(divide="ignore", invalid="ignore"):
-        done = _refine(step, np.arange(len(lanes)), lambda diff, scale: diff <= tol * scale,
+        done = _refine(step, np.arange(len(t0)), lambda diff, scale: diff <= tol * scale,
                        lambda why: QuadratureNoConvergenceError(
                            f"{what}: Clenshaw-Curtis not converged {why}"), _QUAD_MAX_DOUBLINGS)
-    for (j, k, _), got in sorted((lane[0], done[i]) for i, lane in enumerate(lanes)):
-        if isinstance(got, QCaloricError):
-            out[j] = out[j] if isinstance(out[j], QCaloricError) else got
-        elif not isinstance(out[j], QCaloricError):
-            prev = out[j][k]
-            out[j][k] = got[:3] if prev is None else (
-                prev[0] + got[0], prev[1] + got[1], max(prev[2], got[2]))
-    return [segs if isinstance(segs, QCaloricError) else
-            [seg or (0.0, 0.0, 0) for seg in segs] for segs in out]
+    # each path's lanes in path order: by segment, then by piece
+    in_order = sorted(range(len(table)), key=lambda b: table[b][:2])
+    for i, j in enumerate(live):
+        segs = [None] * (len(lams) - 1)
+        for b in in_order:
+            got, k = done[b * width + i], table[b][0]
+            if isinstance(got, QCaloricError):
+                segs = got
+                break
+            segs[k] = got[:3] if segs[k] is None else (
+                segs[k][0] + got[0], segs[k][1] + got[1], max(segs[k][2], got[2]))
+        out[j] = segs if isinstance(segs, QCaloricError) else [
+            got or (0.0, 0.0, 0) for got in segs]
+    return out
 
 
 def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
@@ -373,13 +394,13 @@ def isothermal_entropy_change_lanes(model: ParamHamiltonian, lambda_i: float,
     its single call raises. Pieces between breakpoints are lanes of their
     own; values and error estimates add up, the level is the deepest.
     """
-    temps = np.asarray(temperatures, dtype=float).tolist()
-    got = _path_integrals(_SpectralCache(model), [[(lambda_i, t), (lambda_f, t)] for t in temps],
+    temps = np.asarray(temperatures, dtype=float)
+    got = _path_integrals(_SpectralCache(model), (lambda_i, lambda_f), temps[:, None].repeat(2, 1),
                           lambda rows, t: -_moments_at(rows, t)[3] / (t * t),
                           "isothermal entropy change")
     return [segs if isinstance(segs, QCaloricError) else CaloricResult(
         "entropy_change", segs[0][0], lambda_i, lambda_f, t, "quadrature", *segs[0][1:])
-        for t, segs in zip(temps, got)]
+        for t, segs in zip(temps.tolist(), got)]
 
 
 def isothermal_entropy_change(model: ParamHamiltonian, lambda_i: float,
@@ -564,8 +585,8 @@ def adiabatic_temperature_change_lanes(
     the deepest and the paths are joined.
     """
     temps = np.asarray(temperatures, dtype=float)
-    slots = _guarded([[(lambda_i, t), (lambda_f, t)] for t in temps.tolist()], "T_start")
-    live = np.array([j for j, s in enumerate(slots) if not isinstance(s, QCaloricError)], dtype=int)
+    slots = _guarded((lambda_i, lambda_f), temps[:, None].repeat(2, 1), "T_start")
+    live = np.array([j for j, slot in enumerate(slots) if slot is None], dtype=int)
     if lattice is not None and model.parameter_name != "b":
         done = dict.fromkeys(live.tolist(), NoZeemanTermError(
             "classical adiabat needs the field as working parameter"))

@@ -90,15 +90,16 @@ def csv_paths(curves: CurveSet, path) -> List[Path]:
 
 
 def emit_csv(curves: CurveSet, path) -> List[Path]:
-    """Write one CSV file per curve; byte-identical across repeated runs.
+    """Write one CSV file per curve, UTF-8 with LF line ends, in binary mode;
+    byte-identical across repeated runs.
 
     Returns the written paths.
     """
     targets = csv_paths(curves, path)
     for curve, target in zip(curves, targets):
         try:
-            with open(target, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(render_csv(curve))
+            with open(target, "wb") as handle:
+                handle.write(render_csv(curve).encode("utf-8"))
         except OSError as exc:
             raise IoError(f"cannot write CSV to {target}: {exc}") from exc
     return targets
@@ -202,10 +203,10 @@ def render_svg(curves: CurveSet) -> str:
 
 
 def emit_svg(curves: CurveSet, path) -> None:
-    """Write the SVG plot file."""
-    text = render_svg(curves)
+    """Write the SVG plot file, UTF-8 with LF line ends, in binary mode."""
+    data = render_svg(curves).encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
     except OSError as exc:
         raise IoError(f"cannot write SVG to {path}: {exc}") from exc

@@ -162,7 +162,7 @@ def entropy_change_from_discord(J_i: float, J_f: float, T: float) -> float:
             f"sweep [{J_i:g}, {J_f:g}] straddles J = 0 where |c| is "
             "non-differentiable")
     got = _path_integrals(
-        _SpectralCache(build_dimer(J=J_i, b=0.0, parameter="J")), [[(J_i, T), (J_f, T)]],
+        _SpectralCache(build_dimer(J=J_i, b=0.0, parameter="J")), (J_i, J_f), [(T, T)],
         lambda rows, t: _discord_slopes(J_i, _moments_at(rows, t)[3], t),
         "discord-integral entropy change")[0]
     if isinstance(got, QCaloricError):

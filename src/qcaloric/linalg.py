@@ -1,11 +1,13 @@
 """Dense complex Hermitian linear algebra for small spin Hamiltonians.
 
 Provides Kronecker products, spin-1/2 operator sets, and one Hermitian
-eigensolver rule on top of LAPACK (``_sector_solves``): each matrix of a
+eigensolver rule on top of LAPACK (``_sector_blocks``): each matrix of a
 stack is solved by the connected components of its own sparsity pattern (for
 spin Hamiltonians that conserve total S_z, the S_z sectors), so an 8-site
 ring (d = 256) costs eigensolves of width <= 70. ``hermitian_eigen_stack``
-and ``_sector_spectra``, which the caloric routes read, are its two views.
+and ``_sector_spectra``, which the caloric routes read, are its two views;
+an affine family (``models._Affine``) hands ``_solved`` the blocks of its
+own sectors instead.
 
 Conventions: matrices are complex128 throughout, even for models that happen
 to be real symmetric. Energies carried by these operators are in kelvin
@@ -129,7 +131,7 @@ def _eigh(m: np.ndarray):
 
 def hermitian_eigen_stack(operators) -> EigenDecomposition:
     """Diagonalize a stack of equally sized Hermitian operators by their
-    sectors (``_sector_solves``), with the eigenvectors embedded per sector.
+    sectors (``_sector_blocks``), with the eigenvectors embedded per sector.
 
     A dense matrix gets the bits of its own ``eigh`` call; a diagonal one
     (every tabulated model, the zero matrix) its diagonal sorted stably, with
@@ -156,8 +158,8 @@ def hermitian_eigen_stack(operators) -> EigenDecomposition:
     n, d = m.shape[:2]
     values = np.diagonal(m, 0, 1, 2).real.copy()
     vectors = np.repeat(np.eye(d, dtype=complex)[None], n, 0)
-    for at, block, levels, basis in _sector_solves(m):
-        values[at], vectors[block] = levels, basis
+    for at, block in _sector_blocks(m):
+        values[at], vectors[block] = _eigh(m[block])
     order, rows = np.argsort(values, axis=1, kind="stable"), np.arange(n)[:, None]
     # fancy indexing returns contiguous arrays; batched matmul on strided ones changes bits
     return EigenDecomposition(values[rows, order],
@@ -205,14 +207,11 @@ def _sectors(dim: int, key: bytes) -> tuple:
     return sectors
 
 
-def _sector_solves(matrices: np.ndarray):
-    """The one eigensolve of a stack of Hermitian matrices: matrices grouped by
-    sparsity pattern, one stacked LAPACK call per sector wider than 1 over its
-    group. Yields per call the (rows, sector) index of its levels, the index
-    of its blocks, and its levels and eigenvectors. A 1 x 1 sector is its own
-    level with a unit eigenvector, and no call. Each view merges the sectors'
-    levels by a stable sort: a dense matrix (one sector) keeps its ``eigh``
-    order, tied levels of different sectors their index order."""
+def _sector_blocks(matrices: np.ndarray):
+    """The sectors of a stack of Hermitian matrices: matrices grouped by
+    sparsity pattern, and per sector wider than 1 of a group the (rows,
+    sector) index of its levels and the index of its blocks. A 1 x 1 sector
+    is its own level with a unit eigenvector, and no block."""
     n = len(matrices)
     groups = {}
     for i, key in enumerate(np.packbits((matrices != 0).reshape(n, -1), axis=1)):
@@ -220,17 +219,29 @@ def _sector_solves(matrices: np.ndarray):
     for key, nodes in groups.items():
         rows = np.array(nodes)[:, None]
         for idx in _sectors(matrices.shape[-1], key):
-            block = rows[:, :, None], idx[:, None], idx
-            yield (rows, idx), block, *_eigh(matrices[block])
+            yield (rows, idx), (rows[:, :, None], idx[:, None], idx)
+
+
+def _solved(out: np.ndarray, solves) -> np.ndarray:
+    """``out`` (levels, derivative diagonal; one row per matrix) completed by
+    ``solves``, one (index of its levels, stack of sector blocks, the
+    derivative's blocks or block) per stacked LAPACK call, and merged by one
+    stable sort: a dense matrix (one sector) keeps its ``eigh`` order, tied
+    levels of different sectors their index order. The derivative's diagonal
+    needs only each sector's block, as an eigenvector has no weight outside
+    its sector."""
+    for at, block, derivative in solves:
+        levels, basis = _eigh(block)
+        out[0][at] = levels
+        out[1][at] = eigenbasis_diagonal(derivative, basis)
+    return out[:, np.arange(out.shape[1])[:, None], np.argsort(out[0], axis=1, kind="stable")]
 
 
 def _sector_spectra(matrices: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
     """Ascending levels of each of a stack of Hermitian matrices (row 0) and
     the diagonal of its derivative in the matching eigenbasis (row 1), one
-    column per matrix. The derivative's diagonal needs only each sector's
-    block, as an eigenvector has no weight outside its sector."""
+    column per matrix: one stacked ``eigh`` per sector of each sparsity
+    pattern (``_sector_blocks``), merged by ``_solved``."""
     out = np.array((np.diagonal(matrices, 0, 1, 2).real, np.diagonal(derivatives, 0, 1, 2).real))
-    for at, block, levels, basis in _sector_solves(matrices):
-        out[0][at] = levels
-        out[1][at] = eigenbasis_diagonal(derivatives[block], basis)
-    return out[:, np.arange(len(matrices))[:, None], np.argsort(out[0], axis=1, kind="stable")]
+    return _solved(out, ((at, matrices[block], derivatives[block])
+                         for at, block in _sector_blocks(matrices)))

@@ -4,7 +4,8 @@ Covers the two-spin Heisenberg-plus-Zeeman dimer, the single-spin Zeeman
 paramagnet, and a tabulated-spectrum escape hatch for externally supplied
 level schemes. The caloric parameter enters every built-in family linearly,
 so each is H(lambda) = H0 + lambda * V with the constant derivative V, made
-by one constructor from the pair (H0, V).
+by one constructor from the pair (H0, V), which it keeps as data
+(``_Affine``).
 
 Conventions
 -----------
@@ -19,6 +20,7 @@ field ``b = g * mu_B * B / k_B`` in kelvin. To translate to the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Optional, Tuple
@@ -28,10 +30,11 @@ import numpy as np
 from .errors import (
     GridTooSmallError,
     NonFiniteParameterError,
+    NonHermitianError,
     NonMonotoneGridError,
     OutOfRangeError,
 )
-from .linalg import HermitianOperator, kron, spin_half_operators
+from .linalg import HermitianOperator, _sectors, _solved, kron, spin_half_operators
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,11 @@ class ParamHamiltonian:
         The non-promoted symbols, name -> value in kelvin.
     evaluate, derivative : callable
         lambda (kelvin) -> HermitianOperator. The built-in families are
-        H0 + lambda * V from one constructor, so ``derivative`` is the
-        exact constant V; tabulated models use grid differences.
+        H0 + lambda * V from one constructor: ``evaluate`` is the family
+        object ``_Affine`` (H0, V) and ``derivative`` its method, the exact
+        constant V. The spectral cache reads such a family whole from its
+        sector blocks, unless either field is replaced (a wrapper then sees
+        every node). Tabulated models use grid differences.
     magnetization_operator : HermitianOperator or None
         Total S_z in spin-1/2 units, present when the model carries a
         Zeeman structure.
@@ -140,25 +146,79 @@ class ParamHamiltonian:
     breakpoints: Tuple[float, ...] = ()
 
 
-def _affine(parameter: str, frozen: Mapping[str, float], h0: np.ndarray,
-            v: HermitianOperator, magnetization: HermitianOperator) -> ParamHamiltonian:
-    """The family H(lambda) = h0 + lambda * v with the validated constant
-    derivative v; only H(lambda) itself is validated, once per evaluation. A
-    lambda at which H overflows raises NonFiniteParameterError."""
-    def evaluate(lam: float) -> HermitianOperator:
+@dataclass(frozen=True, eq=False)
+class _Affine:
+    """H(lambda) = h0 + lambda * v as data: the ``evaluate`` of every built-in
+    family, whose ``derivative`` is its method. h0 and v are validated once
+    and must be exactly Hermitian, so every finite H(lambda) is too. Called
+    on one lambda, it builds H(lambda) (NonFiniteParameterError where it
+    overflows); ``spectra`` fills many nodes from the blocks of the
+    family's sectors, the components of |h0| + |v|, found on its first fill."""
+
+    h0: np.ndarray
+    v: HermitianOperator
+
+    def __post_init__(self):
+        h0 = HermitianOperator(self.h0)
+        if h0.dim != self.v.dim or h0.hermiticity_defect or self.v.hermiticity_defect:
+            raise NonHermitianError("an affine family needs exactly Hermitian h0 and v of one dimension")
+        object.__setattr__(self, "h0", h0.matrix)
+
+    def __call__(self, lam: float) -> HermitianOperator:
         with np.errstate(over="ignore", invalid="ignore"):
-            h = h0 + lam * v.matrix
+            h = self.h0 + lam * self.v.matrix
         try:
             return HermitianOperator(h)
         except ValueError:   # h is square, so its entries are not finite
             raise NonFiniteParameterError(f"H(lambda) is not finite at lambda = {lam:g}") from None
 
+    def derivative(self, lam: float) -> HermitianOperator:
+        return self.v
+
+    @functools.cached_property
+    def _blocks(self):
+        """The diagonals and sector blocks of h0 and v, end to end in one row
+        each, and per sector its index, slice of that row, width and v block."""
+        h0, v = self.h0, self.v.matrix
+        sectors = _sectors(len(v), np.packbits((h0 != 0) | (v != 0)).tobytes())
+        ends = np.cumsum([len(v), *(len(idx) ** 2 for idx in sectors)]).tolist()
+        blocks = [np.ix_(idx, idx) for idx in sectors]
+        return (np.concatenate([np.diagonal(h0), *(h0[b].ravel() for b in blocks)]),
+                np.concatenate([np.diagonal(v), *(v[b].ravel() for b in blocks)]),
+                [(idx, slice(a, b), len(idx), v[blk])
+                 for idx, a, b, blk in zip(sectors, ends, ends[1:], blocks)])
+
+    def spectra(self, lams) -> np.ndarray:
+        """``linalg._sector_spectra`` of H and v at each of ``lams``, bit for
+        bit: each sector's entries are h0 + lambda * v as one node builds
+        them, solved by one stacked ``eigh``. The first node not finite
+        raises its own call's error, before any eigensolve."""
+        h0, v, sectors = self._blocks
+        lams = np.array(lams, dtype=float)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = h0 + lams * v
+        finite = np.isfinite(entries.view(float)).all(1)
+        if not finite.all():
+            lam = float(lams[np.argmin(finite), 0])
+            raise NonFiniteParameterError(f"H(lambda) is not finite at lambda = {lam:g}")
+        d = self.v.dim
+        out = np.empty((2, len(lams), d))
+        out[0], out[1] = entries[:, :d].real, v[:d].real
+        return _solved(out, ((np.s_[:, idx], entries[:, at].reshape(-1, k, k), block)
+                             for idx, at, k, block in sectors))
+
+
+def _affine(parameter: str, frozen: Mapping[str, float], h0: np.ndarray,
+            v: HermitianOperator, magnetization: HermitianOperator) -> ParamHamiltonian:
+    """The family H(lambda) = h0 + lambda * v: ``evaluate`` is the ``_Affine``
+    (h0, v), ``derivative`` its constant v; both exactly Hermitian."""
+    family = _Affine(h0, v)
     return ParamHamiltonian(
         dimension=v.dim,
         parameter_name=parameter,
         frozen_params=frozen,
-        evaluate=evaluate,
-        derivative=lambda lam: v,
+        evaluate=family,
+        derivative=family.derivative,
         magnetization_operator=magnetization,
     )
 

@@ -24,6 +24,7 @@ rejected. The exchange-table CSV must carry the exact header
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -102,9 +103,13 @@ def _number(obj, where, key, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}.{key}", "must be a number")
-    if not np.isfinite(value):
+    try:
+        value = float(value)
+    except OverflowError:   # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
         raise ValidationError(f"{where}.{key}", "must be finite")
-    return float(value)
+    return value
 
 
 def _grid(obj, where, min_points) -> GridSpec:

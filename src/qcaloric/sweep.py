@@ -147,7 +147,7 @@ def run_sweep(scenario: Scenario, *,
         elif comp == "decompose":
             # every temperature's stroke is a lane of one quadrature on one cache
             results = _raise_first(comp, lam_desc, temps, _decompose(
-                _SpectralCache(model), [[(lam_i, t), (lam_f, t)] for t in temps]))
+                _SpectralCache(model), (lam_i, lam_f), [(t, t) for t in temps]))
             for name, pick in (("work", lambda d: (d.work, d.error_estimate)),
                                ("heat", lambda d: (d.heat, d.error_estimate)),
                                ("energy_change", lambda d: (d.energy_change, 0.0))):

@@ -307,36 +307,41 @@ def process_decompose(model: ParamHamiltonian,
     """
     # caloric imports this module, so its kernel is imported here
     from .caloric import _SpectralCache
-    got = _decompose(_SpectralCache(model), [path])[0]
+    lams, temps = zip(*path) if len(path) else ((), ())
+    got = _decompose(_SpectralCache(model), lams, [temps])[0]
     if isinstance(got, QCaloricError):
         raise got
     return got
 
 
-def _decompose(cache, paths) -> list:
-    """``process_decompose`` of each of ``paths`` on the spectral cache of their
-    model, as the lanes of one ``_path_integrals``: every piece of every path
-    is a lane with its own refinement level and bits, so a node one path
-    diagonalized is read by the others. One entry per path: its
-    ProcessDecomposition, or the QCaloricError its ``process_decompose`` call
-    raises."""
+def _decompose(cache, lams, temps) -> list:
+    """``process_decompose`` of the paths through the points ``lams`` at the
+    temperatures of each row of ``temps`` (path x point), on the spectral
+    cache of their model, as the lanes of one ``_path_integrals``: every
+    piece of every path is a lane with its own refinement level and bits,
+    and the paths share the nodes. Their energies are read at the points in
+    one pass. One entry per path: its ProcessDecomposition, or the
+    QCaloricError its ``process_decompose`` call raises."""
     from .caloric import _path_integrals
 
-    works = _path_integrals(cache, paths, lambda rows, t: _moments_at(rows, t)[1],
+    lams, temps = [float(lam) for lam in lams], np.array(temps, dtype=float)
+    works = _path_integrals(cache, lams, temps, lambda rows, t: _moments_at(rows, t)[1],
                             "process work", _DECOMPOSE_TOL, "path T")
-    return [got if isinstance(got, QCaloricError) else _split(cache, path, got)
-            for path, got in zip(paths, works)]
+    live = [j for j, got in enumerate(works) if not isinstance(got, QCaloricError)]
+    if live:
+        try:
+            energies = _moments_at(cache.stack(lams), temps[live])[0]
+        except QCaloricError as exc:   # a point's lambda, shared by every path
+            energies = [exc] * len(live)
+        for j, u in zip(live, energies):
+            works[j] = u if isinstance(u, QCaloricError) else _split(works[j], u)
+    return works
 
 
-def _split(cache, path, works):
-    """One path's first-law split from its segments' (work, error, level);
-    its energies are read at its points."""
+def _split(works, energies) -> ProcessDecomposition:
+    """One path's first-law split from its segments' (work, error, level) and
+    the energies at its points."""
     work_steps, errors, levels = (np.array(x) for x in zip(*works))
-    pts = np.array(path, dtype=float)
-    try:
-        energies = _moments_at(cache.stack(pts[:, 0].tolist()), pts[:, 1])[0]
-    except QCaloricError as exc:
-        return exc
     heat_steps = np.diff(energies) - work_steps
     return ProcessDecomposition(
         work=float(np.sum(work_steps)),

@@ -8,6 +8,7 @@ deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -131,14 +132,18 @@ def _level_groups(levels, values, tol):
 
 def check_sector_fill(quick):
     """The spectral cache's sector fill against whole-matrix ``eigh``: levels,
-    and the dH/dlambda diagonal summed over each degenerate level."""
+    and the dH/dlambda diagonal summed over each degenerate level; and each
+    affine family's fill from its sector blocks against the per-node fill of
+    the same model, bit for bit."""
     cases = [("dimer", models.build_dimer(J=1.0, b=0.3, parameter="J")),
              ("ring4", _ring_model(4, 0.35)), ("ring6", _ring_model(6, 0.35))]
     lams = np.linspace(0.6037, 1.3963, 3 if quick else 9)
     worst_e = worst_a = 0.0
     for name, model in cases:
-        cache = caloric._SpectralCache(model)
-        rows = cache.stack(lams)
+        rows = caloric._SpectralCache(model).stack(lams)
+        per_node = dataclasses.replace(model, evaluate=lambda lam, read=model.evaluate: read(lam))
+        if rows.tobytes() != caloric._SpectralCache(per_node).stack(lams).tobytes():
+            return False, f"{name}: the family fill differs from the per-node fill"
         for lam, (levels, diag, _) in zip(lams, rows):
             values, vectors = np.linalg.eigh(model.evaluate(lam).matrix)
             ref = np.real(np.sum(vectors.conj() * (model.derivative(lam).matrix @ vectors), axis=0))
@@ -152,7 +157,8 @@ def check_sector_fill(quick):
                 1.0, float(np.max(np.abs(ref)))))
     ok = worst_e <= 1e-13 and worst_a <= 1e-12
     return ok, (f"worst level gap {worst_e:.2e} of the spread (tol 1e-13), worst dH/dJ "
-                f"group-sum gap {worst_a:.2e} (tol 1e-12) on the dimer, ring4 and ring6")
+                f"group-sum gap {worst_a:.2e} (tol 1e-12) on the dimer, ring4 and ring6; "
+                "family fill = per-node fill bit for bit")
 
 
 def check_kron_associativity(quick):

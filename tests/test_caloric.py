@@ -185,7 +185,8 @@ class TestIsothermalEntropyChange:
 
     def test_quadrature_of_an_exact_zero_stops_at_level_one(self):
         cache = caloric._SpectralCache(build_dimer(J=1.0, b=0.0, parameter="J"))
-        got = caloric._path_integrals(cache, [[(0.0, 1.0), (1.0, 1.0)], [(0.0, 2.0), (1.0, 2.0)]],
+        # two paths through lambda = 0 and 1, at T = 1 and T = 2
+        got = caloric._path_integrals(cache, (0.0, 1.0), [(1.0, 1.0), (2.0, 2.0)],
                                       lambda rows, t: np.zeros((len(rows), t.shape[-1])), "zero")
         assert got == [[(0.0, 0.0, 1)], [(0.0, 0.0, 1)]]
 

@@ -94,6 +94,13 @@ class TestScenarioCommands:
         assert not (tmp_path / "out.csv").exists()
 
 
+    def test_integer_beyond_the_float_range_is_a_usage_error(self, tmp_path, scenario_file, capsys):
+        path = scenario_file()
+        path.write_text(path.read_text().replace('"J": 1.0', '"J": 1' + "0" * 400))
+        assert cli_main(["entropy-sweep", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == "qcaloric: error: model.J: must be finite\n"
+        assert not (tmp_path / "out.csv").exists()
+
 class TestDiscordCommand:
     def test_reference_value_printed(self, capsys):
         code = cli_main(["discord", "--J", "1", "--T-from", "1",

@@ -24,7 +24,7 @@ from qcaloric.caloric import (
     isothermal_entropy_change_lanes,
     maxwell_residual,
 )
-from qcaloric import caloric, discord, sweep
+from qcaloric import caloric, discord, models, sweep
 from qcaloric.discord import (
     discord_from_susceptibility,
     discord_temperature_derivative,
@@ -79,7 +79,21 @@ def counting_model(model=None):
     return dataclasses.replace(model, evaluate=counting), calls
 
 
-@pytest.mark.parametrize("route, budget", [
+def family_counted(monkeypatch):
+    """The reference dimer, read whole by its family fill, and the nodes
+    handed to that fill: the eigensolve count of the family path."""
+    nodes = []
+    spectra = models._Affine.spectra
+
+    def counting(family, lams):
+        nodes.extend(lams)
+        return spectra(family, lams)
+
+    monkeypatch.setattr(models._Affine, "spectra", counting)
+    return build_dimer(J=1.0, b=0.3, parameter="J"), nodes
+
+
+BUDGETS = pytest.mark.parametrize("route, budget", [
     (lambda m: isothermal_entropy_change(m, 0.5, 1.5, 1.0), 33),
     (lambda m: isothermal_entropy_change_direct(m, 0.5, 1.5, 1.0), 2),
     (lambda m: adiabatic_temperature_change(m, 0.5, 1.5, 1.0), 33),
@@ -92,6 +106,9 @@ def counting_model(model=None):
     (lambda m: adiabatic_temperature_change(m, 1.4963, 0.5037, 1.0), 33),
 ], ids=["quadrature", "direct", "ode", "matching", "force", "maxwell", "decompose",
         "decompose_pinned_T1", "ode_non_dyadic", "ode_non_dyadic_reversed"])
+
+
+@BUDGETS
 def test_eigensolve_budget(route, budget):
     # every lambda is diagonalized once per call; a lookup that stops
     # memoizing, or a route that refines further, shows up here
@@ -100,19 +117,38 @@ def test_eigensolve_budget(route, budget):
     assert len(calls) == budget
 
 
-@pytest.mark.parametrize("kernel, budget", [
+@BUDGETS
+def test_family_fill_eigensolve_budget(route, budget, monkeypatch):
+    # the budgets of the per-node path, counted in the nodes the family fill solves
+    model, nodes = family_counted(monkeypatch)
+    route(model)
+    assert len(nodes) == len(set(nodes)) == budget
+
+
+LANE_BUDGETS = pytest.mark.parametrize("kernel, budget", [
     (isothermal_entropy_change_lanes, 33),
     (adiabatic_temperature_change_lanes, 33),
     # the endpoints of the benchmark's dimer sweep, in place of 0.5 -> 1.5
     (lambda m, _i, _f, temps: adiabatic_temperature_change_lanes(m, 0.5037, 1.4963, temps),
      33),
 ], ids=["quadrature_lanes", "ode_lanes", "ode_lanes_non_dyadic"])
+
+
+@LANE_BUDGETS
 def test_lane_kernel_eigensolve_budget(kernel, budget):
     # 25 temperatures share the lambda nodes: the deepest lane sets the count
     model, calls = counting_model()
     results = kernel(model, 0.5, 1.5, np.linspace(0.25, 5.0, 25))
     assert all(isinstance(r, CaloricResult) for r in results)
     assert len(calls) == budget
+
+
+@LANE_BUDGETS
+def test_family_fill_lane_kernel_eigensolve_budget(kernel, budget, monkeypatch):
+    model, nodes = family_counted(monkeypatch)
+    results = kernel(model, 0.5, 1.5, np.linspace(0.25, 5.0, 25))
+    assert all(isinstance(r, CaloricResult) for r in results)
+    assert len(nodes) == len(set(nodes)) == budget
 
 
 @pytest.mark.parametrize("call, iterations", [

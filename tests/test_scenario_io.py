@@ -61,6 +61,13 @@ class TestParseScenario:
         assert err.value.field == "temperatures.from"
         assert "> 0" in err.value.reason
 
+    def test_integer_beyond_the_float_range_rejected(self):
+        # float() of it overflows: the parser raised TypeError from np.isfinite
+        text = MINIMAL.replace('"J": 1.0', '"J": 1' + "0" * 400)
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert (err.value.field, err.value.reason) == ("model.J", "must be finite")
+
     def test_single_point_sweep_rejected(self):
         text = scenario_text(sweep={"from": 0.5, "to": 1.5, "points": 1})
         with pytest.raises(ValidationError) as err:

@@ -2,12 +2,16 @@
 pattern: the spectral cache checked against whole-matrix eigensolves, bit for
 bit where a matrix is one sector or diagonal, and on an 8-site ring
 (d = 256); ``hermitian_eigen`` and ``thermal_state`` as views of the same
-solve."""
+solve; an affine family's fill from its (H0, V) sector blocks against the
+per-node fill, bit for bit."""
+
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from qcaloric import caloric
+from qcaloric import caloric, models
 from qcaloric.caloric import (
     adiabatic_temperature_change,
     adiabatic_temperature_change_matching,
@@ -16,7 +20,9 @@ from qcaloric.caloric import (
     maxwell_residual,
 )
 from qcaloric.linalg import HermitianOperator, eigenbasis_diagonal, hermitian_eigen
-from qcaloric.models import SpectrumTable, _affine, build_dimer, build_tabulated
+from qcaloric.errors import NonFiniteParameterError, NonHermitianError
+from qcaloric.models import (
+    SpectrumTable, _affine, build_dimer, build_single_spin_zeeman, build_tabulated)
 from qcaloric.thermal import _entropy, _spectral_rows, thermal_state, thermo_point
 from qcaloric.validate import _level_groups, _ring_model
 
@@ -206,3 +212,83 @@ def test_hermitian_eigen_solves_no_block_wider_than_its_own(seed, dim, monkeypat
         assert len(set(sector[np.flatnonzero(column)])) == 1
     assert np.linalg.norm(h @ dec.vectors - dec.vectors * dec.values) <= 1e-12 * np.linalg.norm(h)
     assert np.max(np.abs(dec.vectors.conj().T @ dec.vectors - np.eye(dim))) <= 1e-12
+
+
+# the family fill: an affine model is read whole from its (H0, V) sector blocks
+
+def per_node(model, wrap="evaluate"):
+    """The model with one read wrapped: the spectral cache fills it node by node."""
+    read = getattr(model, wrap)
+    return dataclasses.replace(model, **{wrap: lambda lam: read(lam)})
+
+
+@pytest.mark.parametrize("model, lams", [
+    (build_dimer(J=1.0, b=0.3, parameter="J"), caloric._nodes(-1.5, 1.5, 64) + [0.0]),
+    (build_dimer(J=1.0, b=0.0, parameter="J"), caloric._nodes(-1.5, 1.5, 64) + [0.0]),
+    (build_dimer(J=1.0, b=0.3, parameter="b"), caloric._nodes(-1.0, 2.0, 32) + [0.0]),
+    (build_single_spin_zeeman(1.0), caloric._nodes(-1.0, 2.0, 32) + [0.0]),
+    (_ring_model(4, 0.35), caloric._nodes(0.6037, 1.3963, 64) + [0.0]),
+    (_ring_model(6, 0.35), caloric._nodes(0.6037, 1.3963, 16) + [0.0]),
+    *((hidden_blocks(seed, dim), LAMS + [0.0]) for seed, dim in enumerate([3, 5, 8, 11, 16])),
+], ids=["dimer_J", "dimer_J_b0", "dimer_b", "spin", "ring4", "ring6",
+        "hidden3", "hidden5", "hidden8", "hidden11", "hidden16"])
+def test_the_family_fill_has_the_bits_of_the_per_node_fill(model, lams):
+    # through J = 0 the dimer's 2 x 2 sector is diagonal and the ring's S_z sectors
+    # are multiples of the identity: the family still solves them, to the same bits
+    rows = caloric._SpectralCache(model).stack(lams)
+    for wrap in ("evaluate", "derivative"):
+        assert rows.tobytes() == caloric._SpectralCache(per_node(model, wrap)).stack(lams).tobytes()
+
+
+def test_the_8_site_ring_at_j0_has_the_per_node_bits_up_to_the_sign_of_zero():
+    # at J = 0 the family solves each diagonal S_z sector whole, where the per-node
+    # fill reads 1 x 1 blocks: some zero levels come back +0 where it has -0
+    model, lams = _ring_model(8, 0.35), [0.0, 0.5]
+    rows = caloric._SpectralCache(model).stack(lams)
+    node = caloric._SpectralCache(per_node(model)).stack(lams)
+    assert (rows + 0.0).tobytes() == (node + 0.0).tobytes()
+
+
+def test_sectors_are_found_on_the_first_fill_not_at_build():
+    # pair_correlation builds a dimer per temperature and never fills it
+    model = build_dimer(J=1.0, b=0.3, parameter="J")
+    assert "_blocks" not in vars(model.evaluate)
+    caloric._SpectralCache(model).stack([1.0])
+    blocks = vars(model.evaluate)["_blocks"]
+    caloric._SpectralCache(model).stack([1.5])
+    assert vars(model.evaluate)["_blocks"] is blocks
+    assert [idx.tolist() for idx, *_ in blocks[2]] == [[1, 2]]
+
+
+@pytest.mark.parametrize("wrap", ["evaluate", "derivative"])
+def test_a_wrapped_read_sees_every_node(wrap, monkeypatch):
+    filled = []
+    monkeypatch.setattr(models._Affine, "spectra", lambda family, lams: filled.append(lams))
+    model = build_dimer(J=1.0, b=0.3, parameter="J")
+    seen = []
+    read = getattr(model, wrap)
+    wrapped = dataclasses.replace(model, **{wrap: lambda lam: seen.append(lam) or read(lam)})
+    isothermal_entropy_change(wrapped, 0.5, 1.5, 1.0)
+    assert filled == [] and sorted(seen) == sorted(set(seen)) and len(seen) == 33
+
+
+@pytest.mark.parametrize("wrap", [None, "evaluate"], ids=["family", "per_node"])
+def test_an_overflow_in_the_second_block_names_its_first_lambda(wrap):
+    # 2 * 1e308 overflows in the J-dimer's sigma1.sigma2; 6e307 does not
+    model = build_dimer(J=1.0, b=0.3, parameter="J")
+    cache = caloric._SpectralCache(per_node(model, wrap) if wrap else model)
+    first = np.linspace(0.5, 1.5, caloric._FILL_BLOCK).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteParameterError, match=r"^H\(lambda\) is not finite at lambda = 1e\+308$"):
+            cache.stack(first + [2.0, 3e307, 1e308, -1.5e308])
+    assert list(cache._data) == first
+    assert np.array_equal(cache.stack(first), caloric._SpectralCache(model).stack(first))
+
+
+def test_a_family_needs_exactly_hermitian_matrices():
+    h0 = np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]], dtype=complex)   # within the tolerance
+    with pytest.raises(NonHermitianError, match="exactly Hermitian"):
+        _affine("J", {}, h0, HermitianOperator(np.eye(2, dtype=complex)), None)
+    with pytest.raises(NonHermitianError, match="exactly Hermitian"):
+        _affine("J", {}, np.eye(3, dtype=complex), HermitianOperator(np.eye(2, dtype=complex)), None)
