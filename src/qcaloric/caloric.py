@@ -35,7 +35,6 @@ of (lambda, T) points; its callers supply only the integrand.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -334,18 +333,15 @@ def _path_integrals(cache: _SpectralCache, lams, temps, integrand, what: str,
     lams, temps = [float(lam) for lam in lams], np.array(temps, dtype=float)
     out = _guarded(lams, temps, name)
     live = [j for j, slot in enumerate(out) if slot is None]
-    pieces = {}
-    for k, (la, lb) in enumerate(zip(lams, lams[1:])):
-        for p, (a, b, inner) in enumerate(_pieces(cache.model, la, lb) if la != lb else ()):
-            pieces.setdefault((a, b), (inner, []))[1].append((k, p, la, lb - la, 0.5 * (b - a)))
-    # one block of lanes (one per live path) per segment and piece; a piece's
-    # blocks are consecutive, so each level's live lanes of a piece are a run of them
-    table, width = [block for _, blocks in pieces.values() for block in blocks], len(live)
-    lam0, dlam, half = np.repeat(np.array([block[2:] for block in table]).reshape(-1, 3), width, 0).T
-    ks = np.array([block[0] for block in table], dtype=int)
+    # one block of lanes (one per live path) per segment and piece, in path order
+    pieces = [(k, a, b, inner) for k, (la, lb) in enumerate(zip(lams, lams[1:]))
+              for a, b, inner in (_pieces(cache.model, la, lb) if la != lb else ())]
+    width, ks = len(live), [k for k, *_ in pieces]
+    lam0, dlam, half = np.repeat(np.array([(lams[k], lams[k + 1] - lams[k], 0.5 * (b - a))
+                                           for k, a, b, _ in pieces]).reshape(-1, 3), width, 0).T
     temps = (temps if width == len(temps) else temps[live]).T
     t0, dt = temps[ks].ravel(), (temps[1:] - temps[:-1])[ks].ravel()
-    starts = [0, *itertools.accumulate(width * len(blocks) for _, blocks in pieces.values())]
+    starts = np.arange(len(pieces) + 1) * width
     # a piece whose lanes all hold T fixed reads their temperatures as they are:
     # the bits of T linear in lambda, without a (node x lane) map
     flat = [not dt[lo:hi].any() for lo, hi in zip(starts, starts[1:])]
@@ -353,7 +349,7 @@ def _path_integrals(cache: _SpectralCache, lams, temps, integrand, what: str,
     def step(level, at_level):
         n = _BASE_NODES << level
         bounds, cols = at_level.searchsorted(starts).tolist(), []
-        for ((a, b), (inner, _)), iso, lo, hi in zip(pieces.items(), flat, bounds, bounds[1:]):
+        for (_, a, b, inner), iso, lo, hi in zip(pieces, flat, bounds, bounds[1:]):
             if lo < hi:
                 nodes, at = _nodes(a, b, n), at_level[lo:hi]
                 t = t0[at] if iso else (
@@ -369,12 +365,10 @@ def _path_integrals(cache: _SpectralCache, lams, temps, integrand, what: str,
         done = _refine(step, np.arange(len(t0)), lambda diff, scale: diff <= tol * scale,
                        lambda why: QuadratureNoConvergenceError(
                            f"{what}: Clenshaw-Curtis not converged {why}"), _QUAD_MAX_DOUBLINGS)
-    # each path's lanes in path order: by segment, then by piece
-    in_order = sorted(range(len(table)), key=lambda b: table[b][:2])
     for i, j in enumerate(live):
         segs = [None] * (len(lams) - 1)
-        for b in in_order:
-            got, k = done[b * width + i], table[b][0]
+        for g, k in enumerate(ks):
+            got = done[g * width + i]
             if isinstance(got, QCaloricError):
                 segs = got
                 break

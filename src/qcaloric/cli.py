@@ -84,10 +84,11 @@ def _run_discord(args) -> int:
     if args.t_from <= 0 or args.t_to <= 0:
         raise ValidationError("--T-from/--T-to", "must be > 0")
     temps = np.linspace(args.t_from, args.t_to, args.points)
+    # every point first: a failing one leaves stdout empty
+    discords = [pair_correlation(args.J, float(t)).discord for t in temps]
     print("T_K,discord")
-    for t in temps:
-        record = pair_correlation(args.J, float(t))
-        print(f"{t:.11e},{record.discord:.11e}")
+    for t, discord in zip(temps, discords):
+        print(f"{t:.11e},{discord:.11e}")
     return 0
 
 

@@ -1,13 +1,13 @@
 """Dense complex Hermitian linear algebra for small spin Hamiltonians.
 
 Provides Kronecker products, spin-1/2 operator sets, and one Hermitian
-eigensolver rule on top of LAPACK (``_sector_blocks``): each matrix of a
-stack is solved by the connected components of its own sparsity pattern (for
-spin Hamiltonians that conserve total S_z, the S_z sectors), so an 8-site
-ring (d = 256) costs eigensolves of width <= 70. ``hermitian_eigen_stack``
-and ``_sector_spectra``, which the caloric routes read, are its two views;
-an affine family (``models._Affine``) hands ``_solved`` the blocks of its
-own sectors instead.
+eigensolver rule on top of LAPACK (``_sector_blocks``): each matrix is
+solved by the connected components of its own sparsity pattern (for spin
+Hamiltonians that conserve total S_z, the S_z sectors), so an 8-site ring
+(d = 256) costs eigensolves of width <= 70. ``hermitian_eigen``, one
+operator, and ``_sector_spectra``, a stack of them as the caloric routes read
+it, are its two views; an affine family (``models._Affine``) hands
+``_solved`` the blocks of its own sectors instead.
 
 Conventions: matrices are complex128 throughout, even for models that happen
 to be real symmetric. Energies carried by these operators are in kelvin
@@ -103,11 +103,11 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectrum of a Hermitian operator, or of a stack of them.
+    """Spectrum of a Hermitian operator.
 
     ``values`` are real and ascending (tied levels of different sectors, as of
     a diagonal input, keep their index order); ``vectors`` holds the matching
-    eigenvectors as columns of a unitary matrix. A stack adds one leading axis.
+    eigenvectors as columns of a unitary matrix.
     """
 
     values: np.ndarray
@@ -129,9 +129,9 @@ def _eigh(m: np.ndarray):
         raise NoConvergenceError(f"LAPACK eigh failed: {exc}") from exc
 
 
-def hermitian_eigen_stack(operators) -> EigenDecomposition:
-    """Diagonalize a stack of equally sized Hermitian operators by their
-    sectors (``_sector_blocks``), with the eigenvectors embedded per sector.
+def hermitian_eigen(a) -> EigenDecomposition:
+    """Diagonalize one Hermitian operator by its sectors (``_sector_blocks``),
+    with the eigenvectors embedded per sector.
 
     A dense matrix gets the bits of its own ``eigh`` call; a diagonal one
     (every tabulated model, the zero matrix) its diagonal sorted stably, with
@@ -139,38 +139,26 @@ def hermitian_eigen_stack(operators) -> EigenDecomposition:
 
     Parameters
     ----------
-    operators : sequence of HermitianOperator or ndarray
-        Raw arrays are validated first (may raise ``NonHermitianError``).
+    a : HermitianOperator or ndarray
+        A raw array is validated first (may raise ``NonHermitianError``).
 
     Returns
     -------
     EigenDecomposition
-        ``values`` of shape (n, d), ascending per row, and ``vectors`` of
-        shape (n, d, d) with unitary eigenvector columns.
+        Ascending ``values`` and unitary eigenvector columns.
 
     Raises
     ------
     NoConvergenceError
         LAPACK reports that the eigenvalue iteration failed to converge.
     """
-    m = np.array([a.matrix if isinstance(a, HermitianOperator) else HermitianOperator(a).matrix
-                  for a in operators])
-    n, d = m.shape[:2]
-    values = np.diagonal(m, 0, 1, 2).real.copy()
-    vectors = np.repeat(np.eye(d, dtype=complex)[None], n, 0)
+    m = (a if isinstance(a, HermitianOperator) else HermitianOperator(a)).matrix[None]
+    values, vectors = np.diagonal(m, 0, 1, 2).real.copy(), np.eye(m.shape[-1], dtype=complex)[None]
     for at, block in _sector_blocks(m):
         values[at], vectors[block] = _eigh(m[block])
-    order, rows = np.argsort(values, axis=1, kind="stable"), np.arange(n)[:, None]
-    # fancy indexing returns contiguous arrays; batched matmul on strided ones changes bits
-    return EigenDecomposition(values[rows, order],
-                              vectors[rows[:, None], np.arange(d)[:, None], order[:, None]])
-
-
-def hermitian_eigen(a) -> EigenDecomposition:
-    """Diagonalize one Hermitian operator: the one-matrix case of
-    ``hermitian_eigen_stack``, with the same sector rule and errors."""
-    spectra = hermitian_eigen_stack([a])
-    return EigenDecomposition(values=spectra.values[0], vectors=spectra.vectors[0])
+    order = np.argsort(values[0], kind="stable")
+    # fancy indexing returns a contiguous array; batched matmul on strided columns changes bits
+    return EigenDecomposition(values[0, order], vectors[0][np.arange(len(order))[:, None], order])
 
 
 def eigenbasis_diagonal(operator, basis: np.ndarray) -> np.ndarray:

@@ -134,6 +134,16 @@ class TestDiscordCommand:
         assert captured.out == ""
         assert captured.err == f"qcaloric: error: {flag}: must be finite\n"
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--J", "1", "--T-from", "1", "--T-to", "1e-320"], "is subnormal"),
+        (["--J", "1e308", "--T-from", "1", "--T-to", "2"], "H(lambda) is not finite")])
+    def test_computation_error_prints_no_partial_table(self, capsys, argv, error):
+        assert cli_main(["discord", *argv, "--points", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qcaloric: computation error: ")
+        assert error in captured.err
+
 
 class TestIngestCommand:
     def test_table_driven_sweep(self, tmp_path, scenario_file):

@@ -8,10 +8,10 @@ from qcaloric.linalg import (
     HermitianOperator,
     eigenbasis_diagonal,
     hermitian_eigen,
-    hermitian_eigen_stack,
     kron,
     spin_half_operators,
 )
+from qcaloric.validate import _ring_model
 
 from oracles import charpoly_eigenvalues, eig2x2, naive_kron
 
@@ -228,48 +228,44 @@ class TestEigenbasisDiagonal:
             assert np.array_equal(rows @ weights, np.dot(rows, weights))
 
 
-class TestStackedEigensolver:
+class TestOneMatrixEigensolver:
     @pytest.mark.parametrize("dim", [2, 4, 16, 64])
-    def test_equals_per_matrix_solves_bitwise(self, dim):
+    def test_equals_lapack_solve_bitwise(self, dim):
         rng = np.random.default_rng(dim)
-        hs = [random_hermitian(rng, dim) for _ in range(9)]
-        vs = [random_hermitian(rng, dim) for _ in range(9)]
-        stack = hermitian_eigen_stack(hs)
-        diags = eigenbasis_diagonal(np.array(vs), stack.vectors)
-        shared = eigenbasis_diagonal(vs[0], stack.vectors)
-        assert stack.values.shape == (9, dim) and stack.dim == dim
-        for k, (h, v) in enumerate(zip(hs, vs)):
-            one = hermitian_eigen(h)
+        for _ in range(9):
+            h, v = random_hermitian(rng, dim), random_hermitian(rng, dim)
+            got = hermitian_eigen(h)
             values, vectors = np.linalg.eigh(h)
-            assert np.array_equal(stack.values[k], one.values)
-            assert np.array_equal(stack.values[k], values)
-            assert np.array_equal(stack.vectors[k], vectors)
-            assert np.array_equal(diags[k], eigenbasis_diagonal(v, one.vectors))
-            assert np.array_equal(shared[k], eigenbasis_diagonal(vs[0], one.vectors))
+            assert got.values.shape == (dim,) and got.dim == dim
+            assert np.array_equal(got.values, values)
+            assert np.array_equal(got.vectors, vectors)
+            assert np.array_equal(eigenbasis_diagonal(v, got.vectors),
+                                  eigenbasis_diagonal(v, vectors))
 
-    def test_diagonal_members_keep_tied_levels_in_order(self):
-        rng = np.random.default_rng(11)
-        tied = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        h = random_hermitian(rng, 3)
-        stack = hermitian_eigen_stack([tied, h, np.zeros((3, 3), dtype=complex)])
-        assert np.array_equal(stack.values[0], [0.0, 1.0, 1.0])
-        assert np.array_equal(stack.vectors[0], np.eye(3)[:, [2, 0, 1]])
-        assert np.array_equal(stack.values[1], np.linalg.eigh(h)[0])
-        assert np.array_equal(stack.vectors[2], np.eye(3))
-        for k, m in enumerate((tied, h)):
-            assert np.array_equal(stack.values[k], hermitian_eigen(m).values)
-            assert np.array_equal(stack.vectors[k], hermitian_eigen(m).vectors)
+    def test_diagonal_input_keeps_tied_levels_in_order(self):
+        tied = hermitian_eigen(np.diag([1.0, 1.0, 0.0]).astype(complex))
+        assert np.array_equal(tied.values, [0.0, 1.0, 1.0])
+        assert np.array_equal(tied.vectors, np.eye(3)[:, [2, 0, 1]])
+        zero = hermitian_eigen(np.zeros((3, 3), dtype=complex))
+        assert np.array_equal(zero.values, np.zeros(3))
+        assert np.array_equal(zero.vectors, np.eye(3))
 
     def test_lapack_failure_raises_no_convergence(self, monkeypatch):
         def failing_eigh(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-        _, _, _, sx, _, sz = spin_half_operators()
-        with pytest.raises(NoConvergenceError, match="did not converge"):
-            hermitian_eigen_stack([sz, sx])
-
-    def test_rejects_non_hermitian_member(self):
         _, _, _, sx, _, _ = spin_half_operators()
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            hermitian_eigen(sx)
+
+    def test_rejects_non_hermitian_array(self):
         with pytest.raises(NonHermitianError):
-            hermitian_eigen_stack([sx, np.array([[0.0, 2.0], [1.0, 0.0]])])
+            hermitian_eigen(np.array([[0.0, 2.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("J", [0.7, 0.0])
+    def test_vectors_are_c_contiguous(self, J):
+        # a strided gather of the columns keeps levels and vectors but moves
+        # the last bits of the batched matmuls that read them
+        vectors = hermitian_eigen(_ring_model(8, 0.35).evaluate(J)).vectors
+        assert vectors.flags.c_contiguous
